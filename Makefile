@@ -95,10 +95,11 @@ bench-scan:
 
 # Per-image check-path perf trajectory: the legacy detector, the
 # profile-backed detector, and the compiled check plan on the same corpus
-# and target, recorded machine-readably like bench-scan. The plan/legacy
-# ratio is the allocation-diet headline.
+# and target, plus image decode (the encoding/json oracle against
+# LoadJSON's native decoder), recorded machine-readably like bench-scan.
+# The plan/legacy and production/oracle ratios are the headlines.
 bench-check:
-	$(GO) test -run '^$$' -bench='DetectorCheck|ProfileCheck|PlanCheck' -benchmem -json . > BENCH_check.json.tmp && mv BENCH_check.json.tmp BENCH_check.json
+	$(GO) test -run '^$$' -bench='DetectorCheck|ProfileCheck|PlanCheck|LoadJSON' -benchmem -json . ./internal/sysimage > BENCH_check.json.tmp && mv BENCH_check.json.tmp BENCH_check.json
 	./scripts/bench_summary.sh BENCH_check.json
 	@grep -o '"Output":"[^"]*"' BENCH_check.json | sed 's/^"Output":"//;s/"$$//' | \
 		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
@@ -144,15 +145,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='BatchScan|RuleInference|DetectorCheck|ProfileCheck|PlanCheck|PlanColdStart|IncrementalInfer|FleetScan/images=1000' \
 		-benchtime 1x -benchmem . >/dev/null
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
+	$(GO) test -run '^$$' -bench=LoadJSON -benchtime 1x -benchmem ./internal/sysimage >/dev/null
 	@echo "bench-smoke: benchmarks build and run OK"
 
-# Short fuzz pass over each config-parser dialect (seed corpus always
-# runs as part of tier 1; this explores beyond it).
+# Short fuzz pass over each config-parser dialect, the plan decoder and
+# the image decoder (seed corpora always run as part of tier 1; this
+# explores beyond them).
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzINIParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzSSHDParse -fuzztime 10s
 	$(GO) test ./internal/planio -fuzz FuzzPlanDecode -fuzztime 10s
+	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 
 fmt:
 	gofmt -l .

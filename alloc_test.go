@@ -8,13 +8,15 @@ import (
 )
 
 // Allocation ceilings for the per-image hot path. Measured steady-state
-// costs are ~64 allocs for Plan.Check (mysql corpus image) and ~193 for
-// LoadJSON of a ~5KB snapshot; the ceilings leave roughly 2x headroom for
+// costs are ~64 allocs for Plan.Check (mysql corpus image) and 73 for
+// LoadJSON of its ~5KB snapshot through the native decoder (193 through
+// the encoding/json fallback); the ceilings leave roughly 2x headroom for
 // legitimate growth while still catching a re-bloat of the scan path (the
-// legacy per-image Check ran at ~700 allocs).
+// legacy per-image Check ran at ~700 allocs) or a corpus image falling
+// back to encoding/json.
 const (
 	maxPlanCheckAllocs = 150
-	maxLoadJSONAllocs  = 400
+	maxLoadJSONAllocs  = 150
 	// Binary plan decode of a learned 30-image mysql plan sits around ~260
 	// allocations once the string interner is warm (one per histogram slice
 	// and rule, plus the spec scaffolding); 600 leaves ~2x headroom while

@@ -69,7 +69,7 @@ var reportScratch = sync.Pool{New: func() any { return new(reportJSON) }}
 func (r *Report) AppendJSON(buf *bytes.Buffer) error {
 	out := reportScratch.Get().(*reportJSON)
 	out.SystemID = r.SystemID
-	out.Warnings = out.Warnings[:0]
+	scratch := out.Warnings[:0]
 	for _, w := range r.Warnings {
 		wj := warningJSON{
 			Rank: w.Rank, Kind: w.Kind, Attr: w.Attr,
@@ -78,10 +78,16 @@ func (r *Report) AppendJSON(buf *bytes.Buffer) error {
 		if w.Rule != nil {
 			wj.Rule = w.Rule.String()
 		}
-		out.Warnings = append(out.Warnings, wj)
+		scratch = append(scratch, wj)
+	}
+	// A clean report's warnings are null, as in RenderJSON, whatever
+	// capacity the recycled scratch carries.
+	out.Warnings = nil
+	if len(scratch) > 0 {
+		out.Warnings = scratch
 	}
 	err := json.NewEncoder(buf).Encode(out)
-	out.Warnings = out.Warnings[:0]
+	out.Warnings = scratch[:0]
 	reportScratch.Put(out)
 	return err
 }

@@ -75,27 +75,31 @@ func TestRenderJSON(t *testing.T) {
 }
 
 func TestAppendJSONMatchesRenderJSON(t *testing.T) {
-	r := sampleReport()
-	indented, err := r.RenderJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, indented); err != nil {
-		t.Fatal(err)
-	}
-
+	// The clean report follows a dirty one, so it renders through the
+	// scratch the pool recycled from it.
 	var got bytes.Buffer
-	if err := r.AppendJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	compact := bytes.TrimSuffix(got.Bytes(), []byte("\n"))
-	if !bytes.Equal(compact, want.Bytes()) {
-		t.Fatalf("AppendJSON diverged from RenderJSON:\n got %s\nwant %s", compact, want.Bytes())
+	for _, r := range []*Report{sampleReport(), {SystemID: "clean-host"}} {
+		indented, err := r.RenderJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, indented); err != nil {
+			t.Fatal(err)
+		}
+		got.Reset()
+		if err := r.AppendJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		compact := bytes.TrimSuffix(got.Bytes(), []byte("\n"))
+		if !bytes.Equal(compact, want.Bytes()) {
+			t.Fatalf("AppendJSON diverged from RenderJSON:\n got %s\nwant %s", compact, want.Bytes())
+		}
 	}
 
 	// The pooled scratch must keep encoding allocation-light: reuse the
 	// same buffer across runs and pin the per-call allocation count.
+	r := sampleReport()
 	got.Reset()
 	allocs := testing.AllocsPerRun(100, func() {
 		got.Reset()

@@ -149,6 +149,51 @@ func TestBatchScanBody(t *testing.T) {
 	}
 }
 
+// TestBatchScanNullMapEntries: a body line whose files, users or groups
+// map holds a null entry used to decode to a nil pointer that panicked a
+// fleet worker, taking the daemon down. Each such line must come back as
+// that image's error record while the daemon keeps serving.
+func TestBatchScanNullMapEntries(t *testing.T) {
+	d, base := startDaemon(t, serve.Options{})
+	if _, err := d.Registry().Register("mysql", "", buildPlan(t, "mysql", 30, 19), "test"); err != nil {
+		t.Fatal(err)
+	}
+	victims, err := corpus.Training("mysql", 1, 123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := json.Marshal(victims[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.Write(healthy)
+	for _, field := range []string{"files", "users", "groups"} {
+		open := []byte(`"` + field + `":{`)
+		body.WriteByte('\n')
+		body.Write(bytes.Replace(healthy, open, append(open, `"null-entry":null,`...), 1))
+	}
+	body.WriteByte('\n')
+
+	for round := 0; round < 2; round++ {
+		status, lines, summary := postBatch(t, base+"/v1/scan/mysql/batch", body.Bytes())
+		if status != http.StatusOK || summary == nil {
+			t.Fatalf("round %d: status = %d, summary = %v", round, status, summary)
+		}
+		if len(lines) != 4 || summary.Images != 4 || summary.Errors != 3 {
+			t.Fatalf("round %d: %d lines, summary %+v; want 4 lines, 3 errors", round, len(lines), summary)
+		}
+		for _, ln := range lines {
+			if (ln.Index == 0) != (ln.Error == "") {
+				t.Fatalf("round %d: line %+v misclassified", round, ln)
+			}
+			if ln.Index > 0 && !bytes.Contains([]byte(ln.Error), []byte(`["null-entry"] is null`)) {
+				t.Fatalf("round %d: error line %+v does not name the null entry", round, ln)
+			}
+		}
+	}
+}
+
 // TestBatchScanDirAndSynthetic covers the server-local directory mode and
 // the synthetic fan-out mode, plus per-image alert provenance.
 func TestBatchScanDirAndSynthetic(t *testing.T) {

@@ -41,8 +41,9 @@ func (im *Image) internStrings() {
 }
 
 // readBufPool recycles whole-file read buffers across LoadFile calls.
-// LoadJSON never retains the raw bytes (encoding/json copies into fresh
-// strings), so returning the buffer right after decoding is safe.
+// LoadJSON keeps no reference to its input (every string it keeps is
+// interned or copied), so returning the buffer right after decoding is
+// safe.
 var readBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 64<<10)
 	return &b
@@ -51,15 +52,18 @@ var readBufPool = sync.Pool{New: func() any {
 // LoadFile reads and decodes one image snapshot through a pooled read
 // buffer, so a batch scanner loading thousands of files does not allocate
 // one decode buffer per file.
-func LoadFile(path string) (*Image, error) {
+func LoadFile(path string) (*Image, error) { return loadFile(path, path) }
+
+// loadFile is LoadFile with errors naming the file as name.
+func loadFile(path, name string) (*Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("sysimage: read %s: %w", path, err)
+		return nil, fmt.Errorf("sysimage: read %s: %w", name, err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("sysimage: read %s: %w", path, err)
+		return nil, fmt.Errorf("sysimage: read %s: %w", name, err)
 	}
 	bp := readBufPool.Get().(*[]byte)
 	defer readBufPool.Put(bp)
@@ -69,11 +73,11 @@ func LoadFile(path string) (*Image, error) {
 	}
 	buf := (*bp)[:n]
 	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, fmt.Errorf("sysimage: read %s: %w", path, err)
+		return nil, fmt.Errorf("sysimage: read %s: %w", name, err)
 	}
 	im, err := LoadJSON(buf)
 	if err != nil {
-		return nil, fmt.Errorf("sysimage: %s: %w", path, err)
+		return nil, fmt.Errorf("sysimage: %s: %w", name, err)
 	}
 	return im, nil
 }
@@ -82,8 +86,8 @@ func LoadFile(path string) (*Image, error) {
 // bytes to fn — the streaming-body sibling of LoadFile's pooled read,
 // used by the serve daemon so per-request image decode allocates no
 // transient body buffer. The buffer is recycled when fn returns, so fn
-// must not retain it (decoding through LoadJSON is safe: encoding/json
-// copies into fresh strings). sizeHint, when positive, pre-sizes the
+// must not retain it (decoding through LoadJSON is safe: LoadJSON keeps
+// no reference to its input). sizeHint, when positive, pre-sizes the
 // buffer (a Content-Length); reads still grow past it as needed.
 func WithPooledRead(r io.Reader, sizeHint int, fn func([]byte) error) error {
 	bp := readBufPool.Get().(*[]byte)

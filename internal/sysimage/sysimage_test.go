@@ -1,6 +1,7 @@
 package sysimage
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -277,9 +278,22 @@ func TestLoadJSONEmptyMaps(t *testing.T) {
 	}
 }
 
+// TestLoadJSONError also covers null entries in the pointer maps:
+// encoding/json decodes one to a nil pointer, which interning and every
+// accessor would dereference, so LoadJSON rejects it.
 func TestLoadJSONError(t *testing.T) {
-	if _, err := LoadJSON([]byte("{broken")); err == nil {
-		t.Fatal("expected decode error")
+	for _, c := range []struct{ doc, want string }{
+		{`{broken`, `sysimage: decode image: invalid character`},
+		{`{"files":{"/x":null}}`, `files["/x"] is null`},
+		{`{"users":{"u":null}}`, `users["u"] is null`},
+		{`{"groups":{"g":null}}`, `groups["g"] is null`},
+		{`{"groups":{"b":null,"a":null,"c":{}}}`, `groups["a"] is null`},
+		{`{"files":{"":null}}`, `files[""] is null`},
+	} {
+		im, err := LoadJSON([]byte(c.doc))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("LoadJSON(%s) = %v, %v; want error containing %q", c.doc, im, err, c.want)
+		}
 	}
 }
 
