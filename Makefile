@@ -148,8 +148,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=LoadJSON -benchtime 1x -benchmem ./internal/sysimage >/dev/null
 	@echo "bench-smoke: benchmarks build and run OK"
 
-# Short fuzz pass over each config-parser dialect, the plan decoder and
-# the image decoder (seed corpora always run as part of tier 1; this
+# Short fuzz pass over each config-parser dialect (against the parsers as
+# first written), the plan decoder, the image decoder and the image's
+# environment probes (seed corpora always run as part of tier 1; this
 # explores beyond them).
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
@@ -157,6 +158,7 @@ fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzSSHDParse -fuzztime 10s
 	$(GO) test ./internal/planio -fuzz FuzzPlanDecode -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
+	$(GO) test ./internal/sysimage -fuzz FuzzImageProbes -fuzztime 10s
 
 fmt:
 	gofmt -l .

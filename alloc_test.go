@@ -8,14 +8,15 @@ import (
 )
 
 // Allocation ceilings for the per-image hot path. Measured steady-state
-// costs are ~64 allocs for Plan.Check (mysql corpus image) and 73 for
+// costs are 51 allocs for Plan.Check (mysql corpus image) and 73 for
 // LoadJSON of its ~5KB snapshot through the native decoder (193 through
 // the encoding/json fallback); the ceilings leave roughly 2x headroom for
 // legitimate growth while still catching a re-bloat of the scan path (the
-// legacy per-image Check ran at ~700 allocs) or a corpus image falling
-// back to encoding/json.
+// legacy per-image Check ran at ~700 allocs, and 64 before the config
+// tokenizer stopped copying arguments) or a corpus image falling back to
+// encoding/json.
 const (
-	maxPlanCheckAllocs = 150
+	maxPlanCheckAllocs = 100
 	maxLoadJSONAllocs  = 150
 	// Binary plan decode of a learned 30-image mysql plan sits around ~260
 	// allocations once the string interner is warm (one per histogram slice

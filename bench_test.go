@@ -651,27 +651,67 @@ func BenchmarkFleetScan(b *testing.B) {
 }
 
 // BenchmarkPlanCheck measures one compiled-plan check per op — the
-// per-image hot path of the batch scan, to be read against
-// BenchmarkDetectorCheck (the legacy per-image detector on the same
-// corpus and target).
+// per-image hot path of the batch scan. target=realworld is read against
+// BenchmarkDetectorCheck (the legacy per-image detector on the same corpus
+// and target); fleet=privatecloud cycles 900 PrivateCloudTargets images
+// through per-app plans learned at the paper's training sizes, the
+// traffic of a fleet scan.
 func BenchmarkPlanCheck(b *testing.B) {
-	images, err := corpus.Training("mysql", 60, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fw := New()
-	k, err := fw.Learn(images)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan := fw.CompilePlan(k)
-	target := corpus.RealWorldCases()[2].Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Check(target); err != nil {
+	b.Run("target=realworld", func(b *testing.B) {
+		images, err := corpus.Training("mysql", 60, benchSeed)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		fw := New()
+		k, err := fw.Learn(images)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := fw.CompilePlan(k)
+		target := corpus.RealWorldCases()[2].Build()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := plan.Check(target); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fleet=privatecloud", func(b *testing.B) {
+		fw := New()
+		plans := map[string]*Plan{}
+		for _, app := range []string{"apache", "mysql", "php"} {
+			training, err := corpus.Training(app, eval.TrainingSize(app), benchSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			k, err := fw.Learn(training)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plans[app] = fw.CompilePlan(k)
+		}
+		type job struct {
+			plan *Plan
+			img  *Image
+		}
+		var jobs []job
+		for seed := int64(1); seed <= 3; seed++ {
+			pop, err := corpus.PrivateCloudTargets(seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, img := range pop.Images {
+				jobs = append(jobs, job{plans[img.ConfigFiles[0].App], img})
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := jobs[i%len(jobs)]
+			if _, err := j.plan.Check(j.img); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkHeadline prints the paper's headline comparison as a benchmark:

@@ -19,8 +19,14 @@ func (d *ApacheDialect) Name() string { return "apache" }
 // Parse implements Dialect.
 func (d *ApacheDialect) Parse(content string) ([]*Entry, error) {
 	var entries []*Entry
-	var stack []string // open section path elements
-	for lineNo, raw := range strings.Split(content, "\n") {
+	// stack holds the open section path elements; paths[i] is stack[:i+1]
+	// joined with '|', so an entry's section is one lookup, not a join.
+	var stack, paths []string
+	section := ""
+	for lineNo, rest, more := 0, content, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		lineNo++
 		line := strings.TrimSpace(stripComment(raw, "#"))
 		if line == "" {
 			continue
@@ -29,47 +35,56 @@ func (d *ApacheDialect) Parse(content string) ([]*Entry, error) {
 		case strings.HasPrefix(line, "</"):
 			name := strings.TrimSuffix(strings.TrimPrefix(line, "</"), ">")
 			if len(stack) == 0 {
-				return nil, fmt.Errorf("line %d: closing </%s> with no open section", lineNo+1, name)
+				return nil, fmt.Errorf("line %d: closing </%s> with no open section", lineNo, name)
 			}
 			top := stack[len(stack)-1]
 			if !strings.EqualFold(sectionKind(top), name) {
-				return nil, fmt.Errorf("line %d: closing </%s> does not match open <%s>", lineNo+1, name, sectionKind(top))
+				return nil, fmt.Errorf("line %d: closing </%s> does not match open <%s>", lineNo, name, sectionKind(top))
 			}
-			stack = stack[:len(stack)-1]
+			stack, paths = stack[:len(stack)-1], paths[:len(paths)-1]
+			section = ""
+			if len(paths) > 0 {
+				section = paths[len(paths)-1]
+			}
 		case strings.HasPrefix(line, "<"):
 			if !strings.HasSuffix(line, ">") {
-				return nil, fmt.Errorf("line %d: unterminated section %q", lineNo+1, line)
+				return nil, fmt.Errorf("line %d: unterminated section %q", lineNo, line)
 			}
 			inner := strings.TrimSuffix(strings.TrimPrefix(line, "<"), ">")
 			fields := splitArgs(inner)
 			if len(fields) == 0 {
-				return nil, fmt.Errorf("line %d: empty section", lineNo+1)
+				return nil, fmt.Errorf("line %d: empty section", lineNo)
 			}
 			// The section container itself is observable: emit a
 			// pseudo-entry carrying its arguments so rules can correlate
 			// against them (e.g. DocumentRoot with <Directory> paths).
 			entries = append(entries, &Entry{
-				Section:   strings.Join(stack, "|"),
+				Section:   section,
 				Key:       fields[0],
 				Values:    fields[1:],
-				Line:      lineNo + 1,
+				Line:      lineNo,
 				IsSection: true,
 			})
 			elem := fields[0]
 			if len(fields) > 1 {
 				elem += ":" + strings.Join(fields[1:], ":")
 			}
-			stack = append(stack, elem)
+			if section != "" {
+				section += "|" + elem
+			} else {
+				section = elem
+			}
+			stack, paths = append(stack, elem), append(paths, section)
 		default:
 			fields := splitArgs(line)
 			if len(fields) == 0 {
 				continue
 			}
 			entries = append(entries, &Entry{
-				Section: strings.Join(stack, "|"),
+				Section: section,
 				Key:     fields[0],
 				Values:  fields[1:],
-				Line:    lineNo + 1,
+				Line:    lineNo,
 			})
 		}
 	}
@@ -156,6 +171,8 @@ func sectionKindArg(elem string) (kind, arg string) {
 }
 
 // stripComment removes an unquoted trailing comment introduced by marker.
+// The first-byte test keeps the prefix comparison off all but the bytes
+// that can start the marker.
 func stripComment(line, marker string) string {
 	inQuote := byte(0)
 	for i := 0; i < len(line); i++ {
@@ -167,7 +184,7 @@ func stripComment(line, marker string) string {
 			}
 		case c == '"' || c == '\'':
 			inQuote = c
-		case strings.HasPrefix(line[i:], marker):
+		case (marker == "" || c == marker[0]) && strings.HasPrefix(line[i:], marker):
 			return line[:i]
 		}
 	}
@@ -175,36 +192,59 @@ func stripComment(line, marker string) string {
 }
 
 // splitArgs tokenizes a directive line, honoring double- and single-quoted
-// arguments.
+// arguments. An argument that is one contiguous span of line — unquoted,
+// or a single quoted run — is returned as a substring of line; only an
+// argument splicing quoted and unquoted parts ("a"b) is copied.
 func splitArgs(line string) []string {
 	var args []string
-	var cur strings.Builder
-	inQuote := byte(0)
-	flush := func() {
-		if cur.Len() > 0 {
-			args = append(args, cur.String())
-			cur.Reset()
+	for i := 0; i < len(line); {
+		if line[i] == ' ' || line[i] == '\t' {
+			i++
+			continue
+		}
+		var arg string
+		arg, i = scanArg(line, i)
+		if arg != "" {
+			args = append(args, arg)
 		}
 	}
-	for i := 0; i < len(line); i++ {
+	return args
+}
+
+// scanArg reads the argument starting at line[i] and returns it with the
+// index of the blank (or end of line) that ends it. [lo, hi) is the
+// current contiguous run of argument bytes; spliced collects the runs
+// before it once a quote character has interrupted one.
+func scanArg(line string, i int) (string, int) {
+	var spliced []byte
+	lo, hi := i, i
+	inQuote := byte(0)
+	for ; i < len(line); i++ {
 		c := line[i]
-		switch {
-		case inQuote != 0:
+		if inQuote != 0 {
 			if c == inQuote {
 				inQuote = 0
-			} else {
-				cur.WriteByte(c)
+				continue
 			}
-		case c == '"' || c == '\'':
+		} else if c == '"' || c == '\'' {
 			inQuote = c
-		case c == ' ' || c == '\t':
-			flush()
-		default:
-			cur.WriteByte(c)
+			continue
+		} else if c == ' ' || c == '\t' {
+			break
 		}
+		if i == hi {
+			hi++
+			continue
+		}
+		if hi > lo {
+			spliced = append(spliced, line[lo:hi]...)
+		}
+		lo, hi = i, i+1
 	}
-	flush()
-	return args
+	if spliced == nil {
+		return line[lo:hi], i
+	}
+	return string(append(spliced, line[lo:hi]...)), i
 }
 
 // quoteArgs re-quotes arguments containing whitespace.

@@ -1,19 +1,41 @@
 package confparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// oracles maps each fuzzed app to its dialect parser as first written.
+var oracles = map[string]func(string) ([]*Entry, error){
+	"apache": oracleApacheParse,
+	"mysql":  func(c string) ([]*Entry, error) { return oracleINIParse(NewINIDialect("#", ";"), c) },
+	"sshd":   oracleSSHDParse,
+}
+
 // fuzzDialect is the shared fuzz body: parsing arbitrary content must
-// never panic, a parse error must carry the app and file context the
-// assembler relies on for fault isolation, and a successful parse must
-// render and re-parse without panicking.
+// never panic and must agree with the app's oracle parser — the same
+// entries (Section, Key, Values, Line, IsSection) or the same error text —
+// a parse error must carry the app and file context the assembler relies
+// on for fault isolation, and a successful parse must render and re-parse
+// without panicking.
 func fuzzDialect(f *testing.F, app string, seeds []string) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, content string) {
+		d, err := ForApp(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := d.Parse(content)
+		want, wantErr := oracles[app](content)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, oracle %v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("entries differ from the oracle\ngot:    %s\noracle: %s", dumpEntries(got), dumpEntries(want))
+		}
 		file, err := Parse(app, "fuzz.conf", content)
 		if err != nil {
 			msg := err.Error()
@@ -32,6 +54,19 @@ func fuzzDialect(f *testing.F, app string, seeds []string) {
 	})
 }
 
+// dumpEntries renders entries for a failure message.
+func dumpEntries(es []*Entry) string {
+	var b strings.Builder
+	for _, e := range es {
+		b.WriteString(strings.Join([]string{e.Section, e.Key, strings.Join(e.Values, "\x1f")}, " | "))
+		if e.IsSection {
+			b.WriteString(" (section)")
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 func FuzzApacheParse(f *testing.F) {
 	fuzzDialect(f, "apache", []string{
 		"",
@@ -44,6 +79,9 @@ func FuzzApacheParse(f *testing.F) {
 		"</VirtualHost>\n", // close with no open
 		"<>\n",             // empty section
 		"<Broken\n",        // unterminated header
+		"Alias \"/icons/\" '/usr/share/apache2/icons/'\nHeader set X \"a b\"c d\"\"e\n",
+		"<Directory \"/var/www\">\n<Files '*.php'>\nRequire all granted\n</Files>\n</Directory>\nTail x\n",
+		"Unterminated \"quote here\nNext 'a''b' \"\" ''\n",
 	})
 }
 
@@ -70,5 +108,20 @@ func FuzzSSHDParse(f *testing.F) {
 		"Match\n", // Match with no criteria
 		"# comment\nSubsystem sftp /usr/lib/openssh/sftp-server\n",
 		"AcceptEnv LANG LC_*\n",
+		"Match User \"git user\" Address '10.0.0.*'\n  Banner \"/etc/ban\"ner\n",
 	})
+}
+
+// TestStripCommentMatchesOracle covers the markers the fuzzed dialects do
+// not use — empty and multi-byte — against the comment stripper as first
+// written.
+func TestStripCommentMatchesOracle(t *testing.T) {
+	lines := []string{"", "a # b", `"#" x # y`, "k = v ; c", "x // y", "'--' -- z", `"open`, "a#", "#", "//"}
+	for _, m := range []string{"", "#", ";", "//", "--"} {
+		for _, l := range lines {
+			if got, want := stripComment(l, m), oracleStripComment(l, m); got != want {
+				t.Errorf("stripComment(%q, %q) = %q, oracle %q", l, m, got, want)
+			}
+		}
+	}
 }

@@ -28,8 +28,10 @@ func (d *INIDialect) Name() string { return "ini" }
 func (d *INIDialect) Parse(content string) ([]*Entry, error) {
 	var entries []*Entry
 	section := ""
-	for lineNo, raw := range strings.Split(content, "\n") {
-		line := raw
+	for lineNo, rest, more := 0, content, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		lineNo++
 		for _, m := range d.commentMarkers {
 			line = stripComment(line, m)
 		}
@@ -39,20 +41,20 @@ func (d *INIDialect) Parse(content string) ([]*Entry, error) {
 		}
 		if strings.HasPrefix(line, "[") {
 			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("line %d: unterminated section header %q", lineNo+1, line)
+				return nil, fmt.Errorf("line %d: unterminated section header %q", lineNo, line)
 			}
 			section = strings.TrimSpace(line[1 : len(line)-1])
 			if section == "" {
-				return nil, fmt.Errorf("line %d: empty section header", lineNo+1)
+				return nil, fmt.Errorf("line %d: empty section header", lineNo)
 			}
 			continue
 		}
 		key, value, hasValue := strings.Cut(line, "=")
 		key = strings.TrimSpace(key)
 		if key == "" {
-			return nil, fmt.Errorf("line %d: missing key", lineNo+1)
+			return nil, fmt.Errorf("line %d: missing key", lineNo)
 		}
-		e := &Entry{Section: section, Key: key, Line: lineNo + 1}
+		e := &Entry{Section: section, Key: key, Line: lineNo}
 		if hasValue {
 			e.Values = []string{unquote(strings.TrimSpace(value))}
 		}

@@ -20,7 +20,10 @@ func (d *SSHDDialect) Name() string { return "sshd" }
 func (d *SSHDDialect) Parse(content string) ([]*Entry, error) {
 	var entries []*Entry
 	section := ""
-	for lineNo, raw := range strings.Split(content, "\n") {
+	for lineNo, rest, more := 0, content, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		lineNo++
 		line := strings.TrimSpace(stripComment(raw, "#"))
 		if line == "" {
 			continue
@@ -31,7 +34,7 @@ func (d *SSHDDialect) Parse(content string) ([]*Entry, error) {
 		}
 		if strings.EqualFold(fields[0], "Match") {
 			if len(fields) < 2 {
-				return nil, fmt.Errorf("line %d: Match with no criteria", lineNo+1)
+				return nil, fmt.Errorf("line %d: Match with no criteria", lineNo)
 			}
 			section = "Match:" + strings.Join(fields[1:], ":")
 			continue
@@ -40,7 +43,7 @@ func (d *SSHDDialect) Parse(content string) ([]*Entry, error) {
 			Section: section,
 			Key:     fields[0],
 			Values:  fields[1:],
-			Line:    lineNo + 1,
+			Line:    lineNo,
 		})
 	}
 	return entries, nil

@@ -201,7 +201,16 @@ func (inf *Inferencer) CheckValue(t Type, value string, img *sysimage.Image) (sy
 // LooksLikeRegexOrGlob reports whether a value uses wildcard or regex
 // metacharacters. The paper notes such values (index specifications,
 // LogFormat patterns) are a main source of inference error; the assembler
-// uses this to skip semantic verification for them.
+// uses this to skip semantic verification for them. It runs on every
+// value of every checked image, so it is a byte switch rather than
+// strings.ContainsAny, which builds its character set per call; the set
+// is ASCII, so the two agree on every input.
 func LooksLikeRegexOrGlob(v string) bool {
-	return strings.ContainsAny(v, "*?[]^$()%{}")
+	for i := 0; i < len(v); i++ {
+		switch v[i] {
+		case '*', '?', '[', ']', '^', '$', '(', ')', '%', '{', '}':
+			return true
+		}
+	}
+	return false
 }

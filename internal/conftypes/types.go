@@ -66,13 +66,30 @@ var (
 	reNumber     = regexp.MustCompile(`^-?[0-9]+(\.[0-9]+)?$`)
 	reSize       = regexp.MustCompile(`^[0-9]+[KMGTkmgt][Bb]?$`)
 	reURL        = regexp.MustCompile(`^[a-z][a-z0-9+.-]*://.+$`)
-	reFilePath   = regexp.MustCompile(`^/[^\s]*$`)
 	rePartialFP  = regexp.MustCompile(`^[^/\s]+(/[^/\s]+)+$`)
 	reFileName   = regexp.MustCompile(`^[\w.-]+\.[\w-]+$`)
 	reIdent      = regexp.MustCompile(`^[a-zA-Z][a-zA-Z0-9_-]*$`)
 	reMIME       = regexp.MustCompile(`^[\w-]+/[\w.+-]+$`)
 	rePermission = regexp.MustCompile(`^0[0-7]{3}$`)
 )
+
+// isAbsPath is the FilePath pattern ^/[^\s]*$ as a byte scan: a leading
+// slash and none of RE2's \s bytes (space, \t, \n, \f, \r). No byte of a
+// multi-byte UTF-8 sequence is ASCII, so the scan decides every input
+// exactly as the pattern does, at a fraction of a regexp match's cost on
+// the per-image check path.
+func isAbsPath(v string) bool {
+	if v == "" || v[0] != '/' {
+		return false
+	}
+	for i := 1; i < len(v); i++ {
+		switch v[i] {
+		case ' ', '\t', '\n', '\f', '\r':
+			return false
+		}
+	}
+	return true
+}
 
 // booleanLexicon is the value set that marks Boolean entries. It includes
 // "0"/"1", which — exactly as in the paper — makes integer entries whose
@@ -150,7 +167,7 @@ func Predefined() []*Def {
 		},
 		{
 			Name:  TypeFilePath,
-			Match: func(v string) bool { return reFilePath.MatchString(v) },
+			Match: isAbsPath,
 			Verify: func(v string, img *sysimage.Image) bool {
 				return img != nil && img.Exists(v)
 			},
@@ -159,16 +176,7 @@ func Predefined() []*Def {
 			Name:  TypePartialFilePath,
 			Match: func(v string) bool { return rePartialFP.MatchString(v) },
 			Verify: func(v string, img *sysimage.Image) bool {
-				if img == nil {
-					return false
-				}
-				suffix := "/" + v
-				for _, p := range img.FileList() {
-					if strings.HasSuffix(p, suffix) {
-						return true
-					}
-				}
-				return false
+				return img != nil && img.HasPathSuffix(v)
 			},
 		},
 		{
@@ -197,16 +205,7 @@ func Predefined() []*Def {
 			Name:  TypeFileName,
 			Match: func(v string) bool { return reFileName.MatchString(v) && !strings.Contains(v, "/") },
 			Verify: func(v string, img *sysimage.Image) bool {
-				if img == nil {
-					return false
-				}
-				suffix := "/" + v
-				for _, p := range img.FileList() {
-					if strings.HasSuffix(p, suffix) {
-						return true
-					}
-				}
-				return false
+				return img != nil && img.HasPathSuffix(v)
 			},
 		},
 		{

@@ -1,6 +1,8 @@
 package conftypes
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +190,15 @@ func TestLooksLikeRegexOrGlob(t *testing.T) {
 	if LooksLikeRegexOrGlob("/var/www") {
 		t.Fatal("plain path is not a pattern")
 	}
+	// Every byte, alone and behind a multi-byte rune, agrees with the
+	// strings.ContainsAny form the byte switch replaced.
+	for b := 0; b < 256; b++ {
+		for _, v := range []string{string([]byte{byte(b)}), "é" + string([]byte{byte(b)})} {
+			if got, want := LooksLikeRegexOrGlob(v), strings.ContainsAny(v, "*?[]^$()%{}"); got != want {
+				t.Fatalf("LooksLikeRegexOrGlob(%q) = %v, ContainsAny %v", v, got, want)
+			}
+		}
+	}
 }
 
 func TestInferEntryNamedDisambiguatesGroups(t *testing.T) {
@@ -268,5 +279,24 @@ func TestPermissionType(t *testing.T) {
 	// 999 is not octal.
 	if got := inf.InferValue("999", nil); got == TypePermission {
 		t.Fatal("999 must not be a permission")
+	}
+}
+
+// TestIsAbsPathMatchesPattern holds the FilePath matcher to the pattern
+// it replaced, over every string of up to three bytes drawn from slashes,
+// letters, RE2's \s bytes, a vertical tab (not \s) and UTF-8 and invalid
+// bytes.
+func TestIsAbsPathMatchesPattern(t *testing.T) {
+	pattern := regexp.MustCompile(`^/[^\s]*$`)
+	alphabet := []string{"/", "a", " ", "\t", "\n", "\f", "\r", "\v", "\u00a0", "\xff", ""}
+	for _, a := range alphabet {
+		for _, b := range alphabet {
+			for _, c := range alphabet {
+				v := a + b + c
+				if got, want := isAbsPath(v), pattern.MatchString(v); got != want {
+					t.Errorf("isAbsPath(%q) = %v, pattern %v", v, got, want)
+				}
+			}
+		}
 	}
 }

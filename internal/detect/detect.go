@@ -15,7 +15,7 @@ package detect
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/assemble"
@@ -155,12 +155,7 @@ func NewFromView(view TrainingView, types *dataset.Dataset, learned []*rules.Rul
 }
 
 func (dt *Detector) template(id string) *templates.Template {
-	for _, t := range dt.Templates {
-		if t.ID == id {
-			return t
-		}
-	}
-	return nil
+	return findTemplate(dt.Templates, id)
 }
 
 // Check assembles the target image and runs all four anomaly checks,
@@ -179,12 +174,7 @@ func (dt *Detector) Check(img *sysimage.Image) (*Report, error) {
 	warnings = append(warnings, dt.checkTypes(row, img)...)
 	warnings = append(warnings, dt.checkSuspiciousValues(row)...)
 
-	sort.SliceStable(warnings, func(i, j int) bool {
-		if warnings[i].Score != warnings[j].Score {
-			return warnings[i].Score > warnings[j].Score
-		}
-		return warnings[i].Attr < warnings[j].Attr
-	})
+	slices.SortStableFunc(warnings, reportOrder)
 	for i, w := range warnings {
 		w.Rank = i + 1
 	}
@@ -367,11 +357,29 @@ func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
 			})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	// Sorting by the report's own key before the cut keeps the same
+	// warnings whatever order the cells were visited in.
+	slices.SortStableFunc(out, reportOrder)
 	if dt.SuspiciousValueLimit > 0 && len(out) > dt.SuspiciousValueLimit {
 		out = out[:dt.SuspiciousValueLimit]
 	}
 	return out
+}
+
+// reportOrder is the report's warning order — score descending, then
+// attribute — for slices.SortStableFunc, which, like sort.SliceStable,
+// only asks whether a comparison is negative; a stable sort keeps one
+// attribute's values in instance order. Suspicious-value warnings are
+// sorted by it before SuspiciousValueLimit cuts them, so the cut never
+// depends on map order and untruncated reports come out as before.
+func reportOrder(a, b *Warning) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Attr, b.Attr)
 }
 
 // editDistance computes Levenshtein distance with early exit once the

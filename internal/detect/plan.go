@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,19 +35,16 @@ type Plan struct {
 	suspLimit int
 	assembler *assemble.Assembler
 
-	// attrStore backs attrs with one allocation; attrs indexes it by name.
+	// attrStore holds the compiled training attributes in declaration
+	// order.
 	attrStore []planAttr
-	attrs     map[string]*planAttr
 
-	// types carries TrainingTypes declarations for target-assembly type
-	// resolution (the map AssembleTarget would consult per image).
-	types map[string]conftypes.Type
-
-	// names interns the training-side names not already keyed by attrs
-	// (type declarations without a matching attribute): target attribute
-	// names are built in a byte buffer and resolved against attrs, then
-	// names, without allocating whenever the name was seen in training.
-	names map[string]string
+	// slots gives every name the plan knows — training attributes, then
+	// target-assembly type declarations, then rule attributes — a dense
+	// index; slotOf resolves a name to it. Check resolves each streamed
+	// name once and works on slot indexes from then on.
+	slots  []planSlot
+	slotOf map[string]int32
 
 	// nameIdx lists the non-augmented training attributes in declaration
 	// order for nearest-name search, each with a character signature for
@@ -123,10 +121,24 @@ type nameCand struct {
 	sig  uint64
 }
 
-// planRule is one learned rule with its template resolved.
+// planSlot is one name the plan knows.
+type planSlot struct {
+	name string
+	// attr is the training attribute of this name; nil for a name only the
+	// type table or a rule mentions.
+	attr *planAttr
+	// typ is the target-assembly type declaration (the TrainingTypes map
+	// AssembleTarget would consult per image), when typed.
+	typ   conftypes.Type
+	typed bool
+}
+
+// planRule is one learned rule with its template and attribute slots
+// resolved.
 type planRule struct {
 	rule *rules.Rule
 	tpl  *templates.Template
+	a, b int32
 }
 
 // charSig folds a string's bytes into a 64-bit set (one bit per byte
@@ -152,9 +164,6 @@ func (dt *Detector) Compile() *Plan {
 		suspLimit: dt.SuspiciousValueLimit,
 		assembler: dt.Assembler,
 		attrStore: make([]planAttr, len(attrs)),
-		attrs:     make(map[string]*planAttr, len(attrs)),
-		types:     make(map[string]conftypes.Type, len(attrs)),
-		names:     make(map[string]string, 8),
 	}
 	for i, a := range attrs {
 		hist := sortedHist(dt.Training.Histogram(a.Name))
@@ -168,26 +177,56 @@ func (dt *Detector) Compile() *Plan {
 			check:   checkers.get(a.Type),
 		}
 		pa.deriveScores(p.samples)
-		p.attrs[a.Name] = pa
 		if !a.Augmented {
 			p.nameIdx = append(p.nameIdx, nameCand{name: a.Name, sig: charSig(a.Name)})
 		}
 	}
+	var types []PlanSpecType
 	if dt.TrainingTypes != nil {
-		for _, a := range dt.TrainingTypes.Attributes() {
-			p.types[a.Name] = a.Type
-			if _, ok := p.attrs[a.Name]; !ok {
-				p.names[a.Name] = a.Name
-			}
+		decls := dt.TrainingTypes.Attributes()
+		types = make([]PlanSpecType, len(decls))
+		for i, a := range decls {
+			types[i] = PlanSpecType{Name: a.Name, Type: a.Type}
 		}
 	}
-	for _, r := range dt.Rules {
-		if tpl := dt.template(r.Template); tpl != nil {
-			p.rules = append(p.rules, planRule{rule: r, tpl: tpl})
+	p.link(types, dt.Rules, dt.Templates)
+	return p
+}
+
+// link gives every known name its slot — training attributes first, in
+// declaration order, then type-table names, then rule attributes — and
+// resolves each rule's template and attribute slots, dropping rules whose
+// template is not installed exactly as checkCorrelations skips them.
+// Compile and NewPlanFromSpec both end here, so a plan rebuilt from its
+// spec links identically.
+func (p *Plan) link(types []PlanSpecType, rs []*rules.Rule, tpls []*templates.Template) {
+	p.slots = make([]planSlot, 0, len(p.attrStore)+len(types))
+	p.slotOf = make(map[string]int32, len(p.attrStore)+len(types))
+	for i := range p.attrStore {
+		pa := &p.attrStore[i]
+		p.slots[p.slotIndex(pa.decl.Name)].attr = pa
+	}
+	for _, t := range types {
+		sl := &p.slots[p.slotIndex(t.Name)]
+		sl.typ, sl.typed = t.Type, true
+	}
+	for _, r := range rs {
+		if tpl := findTemplate(tpls, r.Template); tpl != nil {
+			p.rules = append(p.rules, planRule{rule: r, tpl: tpl, a: p.slotIndex(r.AttrA), b: p.slotIndex(r.AttrB)})
 		}
 	}
 	p.pool.New = func() any { return newScratch(p) }
-	return p
+}
+
+// slotIndex returns name's slot, adding one when the name is new.
+func (p *Plan) slotIndex(name string) int32 {
+	if i, ok := p.slotOf[name]; ok {
+		return i
+	}
+	i := int32(len(p.slots))
+	p.slots = append(p.slots, planSlot{name: name})
+	p.slotOf[name] = i
+	return i
 }
 
 // deriveScores computes the per-attribute check parameters that follow
@@ -269,32 +308,33 @@ func compileChecker(inf *conftypes.Inferencer, t conftypes.Type) func(string, *s
 
 // scratch is the per-image working state of one Check call, pooled and
 // reused across images. It implements assemble.TargetSink, receiving the
-// streamed target attributes directly into the cells map (the one row the
-// legacy path would have stored in a fresh dataset).
+// streamed target attributes into a value table indexed by slot (the one
+// row the legacy path would have stored in a fresh dataset).
 type scratch struct {
 	p   *Plan
 	img *sysimage.Image
 
-	cells map[string][]string
+	// cells is the per-slot table: first the plan's slots, then one extra
+	// slot per target-only name. touched lists, in first-touch order, the
+	// slots holding per-image state; release resets exactly those.
+	cells   []cell
+	touched []int32
 	// arena backs single-instance cell slices so most Adds allocate
 	// nothing; multi-instance attributes fall back to append's growth.
 	arena []string
 
-	// newAug resolves the target dataset's Augmented flag for attributes
-	// unseen in training. The legacy target dataset declares every parsed
-	// entry name (non-augmented) before emitting the row, so a
-	// non-augmented Declare always wins regardless of stream order;
-	// otherwise the first augmented Declare decides.
-	newAug map[string]bool
+	// extra gives names the plan lacks their slot (past len(p.slots)) and
+	// extraNames names those slots. The table doubles as the interner of
+	// target-only names across the images this scratch serves; bounded in
+	// release().
+	extra      map[string]int32
+	extraNames []string
 
-	// typeMemo caches InferValue results per image for attributes absent
-	// from the training types, reproducing the first-occurrence-wins type
-	// map of AssembleTarget.
-	typeMemo map[string]conftypes.Type
-
-	// extra interns target-only attribute names across the images this
-	// scratch serves; bounded in release().
-	extra map[string]string
+	// lastName/lastSlot cache the latest resolution: StreamTarget passes
+	// InternName's string straight to TypeOf, Declare and Add, so the calls
+	// after InternName compare a pointer instead of hashing the name again.
+	lastName string
+	lastSlot int32
 
 	// edPrev/edCur are the edit-distance DP rows.
 	edPrev, edCur []int
@@ -306,14 +346,39 @@ type scratch struct {
 	ctx templates.Ctx
 }
 
+// cell is one slot's per-image state.
+type cell struct {
+	vals    []string
+	touched bool
+	// aug is the target dataset's Augmented flag, tracked for names
+	// without a training attribute. The legacy target dataset declares
+	// every parsed entry name (non-augmented) before emitting the row, so a
+	// non-augmented Declare always wins regardless of stream order;
+	// otherwise the first augmented Declare decides.
+	aug declState
+	// typ memoizes InferValue for names without a type declaration,
+	// reproducing the first-occurrence-wins type map of AssembleTarget.
+	typ      conftypes.Type
+	inferred bool
+}
+
+// declState is a cell's Declare history.
+type declState uint8
+
+const (
+	undeclared declState = iota
+	declaredAugmented
+	declaredPlain
+)
+
 func newScratch(p *Plan) *scratch {
 	return &scratch{
 		p:        p,
-		cells:    make(map[string][]string, 1+len(p.attrs)/2),
+		cells:    make([]cell, len(p.slots), len(p.slots)+16),
+		touched:  make([]int32, 0, 64),
 		arena:    make([]string, 0, 512),
-		newAug:   make(map[string]bool, 16),
-		typeMemo: make(map[string]conftypes.Type, 8),
-		extra:    make(map[string]string, 16),
+		extra:    make(map[string]int32, 16),
+		lastSlot: -1,
 	}
 }
 
@@ -322,15 +387,20 @@ func newScratch(p *Plan) *scratch {
 const maxExtraInterned = 1 << 14
 
 // release returns the scratch to the pool with per-image state cleared.
-// The interner survives (that is its purpose); cells values may reference
-// the arena, so cells must be cleared before the arena is rewound.
+// The interner survives (that is its purpose); the arena is cleared so a
+// pooled scratch pins no values of the image it last checked.
 func (s *scratch) release() {
-	clear(s.cells)
-	clear(s.newAug)
-	clear(s.typeMemo)
-	if len(s.extra) > maxExtraInterned {
-		clear(s.extra)
+	for _, i := range s.touched {
+		s.cells[i] = cell{}
 	}
+	s.touched = s.touched[:0]
+	if len(s.extraNames) > maxExtraInterned {
+		clear(s.extra)
+		s.extraNames = s.extraNames[:0]
+		s.cells = s.cells[:len(s.p.slots)]
+	}
+	s.lastName, s.lastSlot = "", -1
+	clear(s.arena)
 	s.arena = s.arena[:0]
 	s.warnings = s.warnings[:0]
 	s.susp = s.susp[:0]
@@ -350,57 +420,107 @@ func (s *scratch) slot() []string {
 	return s.arena[n : n : 1+n]
 }
 
+// name returns slot i's attribute name.
+func (s *scratch) name(i int32) string {
+	if n := int32(len(s.p.slots)); i >= n {
+		return s.extraNames[i-n]
+	}
+	return s.p.slots[i].name
+}
+
+// attr returns slot i's training attribute, nil for names training never
+// declared.
+func (s *scratch) attr(i int32) *planAttr {
+	if int(i) < len(s.p.slots) {
+		return s.p.slots[i].attr
+	}
+	return nil
+}
+
+// resolve returns name's slot, giving a name the plan lacks an extra slot.
+func (s *scratch) resolve(name string) int32 {
+	if s.lastSlot >= 0 && name == s.lastName {
+		return s.lastSlot
+	}
+	i, ok := s.p.slotOf[name]
+	if !ok {
+		if i, ok = s.extra[name]; !ok {
+			i = s.addExtra(name)
+		}
+	}
+	s.lastName, s.lastSlot = name, i
+	return i
+}
+
+// addExtra gives a target-only name the next extra slot.
+func (s *scratch) addExtra(name string) int32 {
+	i := int32(len(s.cells))
+	s.cells = append(s.cells, cell{})
+	s.extra[name] = i
+	s.extraNames = append(s.extraNames, name)
+	return i
+}
+
+// touch returns slot i's cell, listing it for release on first touch.
+func (s *scratch) touch(i int32) *cell {
+	c := &s.cells[i]
+	if !c.touched {
+		c.touched = true
+		s.touched = append(s.touched, i)
+	}
+	return c
+}
+
 // Declare implements assemble.TargetSink.
 func (s *scratch) Declare(name string, _ conftypes.Type, augmented bool) {
-	if _, known := s.p.attrs[name]; known {
+	i := s.resolve(name)
+	if s.attr(i) != nil {
 		// Training declarations come first in the legacy target dataset,
 		// so its flag wins; the plan reads it from planAttr directly.
 		return
 	}
+	c := s.touch(i)
 	if !augmented {
-		s.newAug[name] = false
-		return
-	}
-	if _, seen := s.newAug[name]; !seen {
-		s.newAug[name] = true
+		c.aug = declaredPlain
+	} else if c.aug == undeclared {
+		c.aug = declaredAugmented
 	}
 }
 
 // Add implements assemble.TargetSink.
 func (s *scratch) Add(name, value string) {
-	vs, ok := s.cells[name]
-	if !ok {
-		vs = s.slot()
+	c := s.touch(s.resolve(name))
+	if len(c.vals) == 0 {
+		c.vals = s.slot()
 	}
-	s.cells[name] = append(vs, value)
+	c.vals = append(c.vals, value)
 }
 
 // TypeOf implements assemble.TargetSink.
 func (s *scratch) TypeOf(name, value string) conftypes.Type {
-	if t, ok := s.p.types[name]; ok {
-		return t
+	i := s.resolve(name)
+	if int(i) < len(s.p.slots) && s.p.slots[i].typed {
+		return s.p.slots[i].typ
 	}
-	if t, ok := s.typeMemo[name]; ok {
-		return t
+	c := s.touch(i)
+	if !c.inferred {
+		c.typ, c.inferred = s.p.assembler.Inferencer.InferValue(value, s.img), true
 	}
-	t := s.p.assembler.Inferencer.InferValue(value, s.img)
-	s.typeMemo[name] = t
-	return t
+	return c.typ
 }
 
-// InternName implements assemble.TargetSink.
+// InternName implements assemble.TargetSink. The resolution it makes is
+// cached for the TypeOf/Declare/Add calls that follow with the returned
+// string.
 func (s *scratch) InternName(name []byte) string {
-	if pa, ok := s.p.attrs[string(name)]; ok {
-		return pa.decl.Name
+	i, ok := s.p.slotOf[string(name)]
+	if !ok {
+		if i, ok = s.extra[string(name)]; !ok {
+			i = s.addExtra(string(name))
+		}
 	}
-	if n, ok := s.p.names[string(name)]; ok {
-		return n
-	}
-	if n, ok := s.extra[string(name)]; ok {
-		return n
-	}
-	n := string(name)
-	s.extra[n] = n
+	n := s.name(i)
+	s.lastName, s.lastSlot = n, i
 	return n
 }
 
@@ -414,7 +534,9 @@ func (p *Plan) Check(img *sysimage.Image) (*Report, error) {
 		s.release()
 		return nil, err
 	}
-	s.row = dataset.Row{SystemID: img.ID, Cells: s.cells}
+	// No validator reads Row's cells (see templates.Ctx), so the plan's
+	// row carries only the system ID.
+	s.row = dataset.Row{SystemID: img.ID}
 	s.ctx = templates.Ctx{Row: &s.row, Image: img}
 
 	ws := s.warnings[:0]
@@ -423,12 +545,7 @@ func (p *Plan) Check(img *sysimage.Image) (*Report, error) {
 	ws = p.checkTypes(s, img, ws)
 	ws = p.checkSuspicious(s, ws)
 
-	sort.SliceStable(ws, func(i, j int) bool {
-		if ws[i].Score != ws[j].Score {
-			return ws[i].Score > ws[j].Score
-		}
-		return ws[i].Attr < ws[j].Attr
-	})
+	slices.SortStableFunc(ws, reportOrder)
 	// nil for a clean image, exactly like the legacy detector's
 	// unappended nil slice.
 	var out []*Warning
@@ -447,14 +564,19 @@ func (p *Plan) Check(img *sysimage.Image) (*Report, error) {
 // checkNames is checkNames compiled: the training flags come from the
 // plan, the target-side Augmented flag from the scratch's declare log.
 func (p *Plan) checkNames(s *scratch, ws []*Warning) []*Warning {
-	for attr := range s.cells {
-		if pa, ok := p.attrs[attr]; ok {
+	for _, i := range s.touched {
+		c := &s.cells[i]
+		if len(c.vals) == 0 {
+			continue
+		}
+		if pa := s.attr(i); pa != nil {
 			if pa.decl.Augmented || pa.has {
 				continue
 			}
-		} else if s.newAug[attr] {
+		} else if c.aug == declaredAugmented {
 			continue
 		}
+		attr := s.name(i)
 		if isEnvAttr(attr) {
 			continue
 		}
@@ -508,13 +630,13 @@ func (s *scratch) editDistance(a, b string, bound int) int {
 	return editDistanceInto(a, b, bound, s.edPrev[:n], s.edCur[:n])
 }
 
-// checkCorrelations is checkCorrelations compiled: templates were
-// resolved per rule at Compile time.
+// checkCorrelations is checkCorrelations compiled: templates and
+// attribute slots were resolved per rule at Compile time.
 func (p *Plan) checkCorrelations(s *scratch, ws []*Warning) []*Warning {
 	for _, pr := range p.rules {
 		r := pr.rule
-		va := s.cells[r.AttrA]
-		vb := s.cells[r.AttrB]
+		va := s.cells[pr.a].vals
+		vb := s.cells[pr.b].vals
 		if len(va) == 0 || len(vb) == 0 {
 			continue // absent entries: rule is ignored (Section 6)
 		}
@@ -538,12 +660,13 @@ func (p *Plan) checkCorrelations(s *scratch, ws []*Warning) []*Warning {
 // checkTypes is checkTypes compiled: the type dispatch and the
 // cardinality score were resolved per attribute at Compile time.
 func (p *Plan) checkTypes(s *scratch, img *sysimage.Image, ws []*Warning) []*Warning {
-	for attr, values := range s.cells {
-		pa, ok := p.attrs[attr]
-		if !ok || pa.decl.Augmented || pa.trivial || !pa.has {
+	for _, i := range s.touched {
+		pa := s.attr(i)
+		if pa == nil || pa.decl.Augmented || pa.trivial || !pa.has {
 			continue
 		}
-		for _, v := range values {
+		attr := pa.decl.Name
+		for _, v := range s.cells[i].vals {
 			if conftypes.LooksLikeRegexOrGlob(v) {
 				continue
 			}
@@ -575,12 +698,13 @@ func (p *Plan) checkTypes(s *scratch, img *sysimage.Image, ws []*Warning) []*War
 // cardinality, ICF, and the resulting score come from the plan.
 func (p *Plan) checkSuspicious(s *scratch, ws []*Warning) []*Warning {
 	sus := s.susp[:0]
-	for attr, values := range s.cells {
-		pa, ok := p.attrs[attr]
-		if !ok || !pa.has || pa.suspSkip {
+	for _, i := range s.touched {
+		pa := s.attr(i)
+		if pa == nil || !pa.has || pa.suspSkip {
 			continue
 		}
-		for _, v := range values {
+		attr := pa.decl.Name
+		for _, v := range s.cells[i].vals {
 			if pa.histHas(v) {
 				continue
 			}
@@ -594,7 +718,7 @@ func (p *Plan) checkSuspicious(s *scratch, ws []*Warning) []*Warning {
 			})
 		}
 	}
-	sort.SliceStable(sus, func(i, j int) bool { return sus[i].Score > sus[j].Score })
+	slices.SortStableFunc(sus, reportOrder)
 	s.susp = sus
 	if p.suspLimit > 0 && len(sus) > p.suspLimit {
 		sus = sus[:p.suspLimit]

@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
 	"repro/internal/rules"
+	"repro/internal/sysimage"
 )
 
 // randomName draws an attribute-like name: app prefix, a few path
@@ -131,12 +135,13 @@ func TestScratchArenaReuse(t *testing.T) {
 	p := &Plan{}
 	p.pool.New = func() any { return newScratch(p) }
 	s := p.pool.Get().(*scratch)
+	vals := func(name string) []string { return s.cells[s.resolve(name)].vals }
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 700; i++ { // crosses the initial arena capacity
 			s.Add(fmt.Sprintf("attr-%d", i), fmt.Sprintf("v%d-%d", round, i))
 		}
 		for i := 0; i < 700; i++ {
-			vs := s.cells[fmt.Sprintf("attr-%d", i)]
+			vs := vals(fmt.Sprintf("attr-%d", i))
 			if len(vs) != 1 || vs[0] != fmt.Sprintf("v%d-%d", round, i) {
 				t.Fatalf("round %d attr-%d: cells = %v", round, i, vs)
 			}
@@ -145,10 +150,95 @@ func TestScratchArenaReuse(t *testing.T) {
 		s.Add("multi", "one")
 		s.Add("multi", "two")
 		s.Add("multi", "three")
-		if got := s.cells["multi"]; len(got) != 3 || got[0] != "one" || got[2] != "three" {
+		if got := vals("multi"); len(got) != 3 || got[0] != "one" || got[2] != "three" {
 			t.Fatalf("round %d multi: %v", round, got)
 		}
-		clear(s.cells)
-		s.arena = s.arena[:0]
+		s.release()
+		s = p.pool.Get().(*scratch)
+		for _, name := range []string{"attr-0", "attr-699", "multi"} {
+			if vs := vals(name); len(vs) != 0 {
+				t.Fatalf("round %d: %s kept %v after release", round, name, vs)
+			}
+		}
+	}
+}
+
+// TestScratchResolveCache pins the last-name cache: a name resolved by
+// InternName, then a different name, then the first again must each land
+// in their own slot, whether the plan knows the name or not.
+func TestScratchResolveCache(t *testing.T) {
+	d := dataset.New()
+	d.DeclareAttr("mysql:known", conftypes.TypeString, false)
+	p := New(d, nil).Compile()
+	s := p.pool.Get().(*scratch)
+	defer s.release()
+	known := s.InternName([]byte("mysql:known"))
+	s.Add(known, "k1")
+	fresh := s.InternName([]byte("mysql:fresh"))
+	s.Add(fresh, "f1")
+	s.Add(known, "k2")
+	s.Add("mysql:fresh", "f2")
+	if got := s.cells[s.resolve("mysql:known")].vals; len(got) != 2 || got[0] != "k1" || got[1] != "k2" {
+		t.Fatalf("known cell = %v", got)
+	}
+	if got := s.cells[s.resolve("mysql:fresh")].vals; len(got) != 2 || got[0] != "f1" || got[1] != "f2" {
+		t.Fatalf("fresh cell = %v", got)
+	}
+	s.InternName([]byte("mysql:fresh"))
+	if len(s.extraNames) != 1 {
+		t.Fatalf("extra names = %q; want the one target-only name, interned once", s.extraNames)
+	}
+}
+
+// tiedImage configures six entries, all set to v.
+func tiedImage(id, v string) *sysimage.Image {
+	im := sysimage.New(id)
+	lines := []string{"[mysqld]"}
+	for _, k := range []string{"k5", "k2", "k4", "k1", "k3", "k6"} {
+		lines = append(lines, k+" = "+v)
+	}
+	im.SetConfig("mysql", "/etc/my.cnf", strings.Join(lines, "\n"))
+	return im
+}
+
+// TestSuspiciousLimitTiesDeterministic pins truncation at
+// SuspiciousValueLimit under ties: six entries every training system
+// agreed on get unseen values of equal score, and with limit 1 the legacy
+// detector and the plan must keep the same warning — the lowest
+// attribute — on every run, whatever order the cells are visited in.
+func TestSuspiciousLimitTiesDeterministic(t *testing.T) {
+	var images []*sysimage.Image
+	for i := 0; i < 12; i++ {
+		images = append(images, tiedImage(fmt.Sprintf("t%02d", i), "agreed"))
+	}
+	training, err := assemble.New().AssembleTraining(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt := New(training, nil)
+	dt.SuspiciousValueLimit = 1
+	plan := dt.Compile()
+	target := tiedImage("target", "unseen")
+	for run := 0; run < 50; run++ {
+		legacy, err := dt.Check(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plan.Check(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(legacy, got) {
+			t.Fatalf("run %d: plan and legacy reports differ\nlegacy: %+v\nplan:   %+v", run, legacy.Warnings, got.Warnings)
+		}
+		var kept []string
+		for _, w := range legacy.Warnings {
+			if w.Kind == KindSuspicious {
+				kept = append(kept, w.Attr)
+			}
+		}
+		if len(kept) != 1 || kept[0] != "mysql:mysqld/k1" {
+			t.Fatalf("run %d: kept suspicious warnings %q; want only the lowest tied attribute", run, kept)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func (p *Plan) Spec() *PlanSpec {
 		Samples:   p.samples,
 		SuspLimit: p.suspLimit,
 		Attrs:     make([]PlanSpecAttr, len(p.attrStore)),
-		Types:     make([]PlanSpecType, 0, len(p.types)),
+		Types:     make([]PlanSpecType, 0, len(p.slots)),
 		Rules:     make([]*rules.Rule, len(p.rules)),
 	}
 	for i := range p.attrStore {
@@ -88,8 +88,10 @@ func (p *Plan) Spec() *PlanSpec {
 		// spec aliases them; both sides treat the slices as immutable.
 		sa.Hist = pa.hist
 	}
-	for name, t := range p.types {
-		spec.Types = append(spec.Types, PlanSpecType{Name: name, Type: t})
+	for _, sl := range p.slots {
+		if sl.typed {
+			spec.Types = append(spec.Types, PlanSpecType{Name: sl.name, Type: sl.typ})
+		}
 	}
 	sort.Slice(spec.Types, func(a, b int) bool { return spec.Types[a].Name < spec.Types[b].Name })
 	for i, pr := range p.rules {
@@ -121,9 +123,6 @@ func NewPlanFromSpec(spec *PlanSpec, asm *assemble.Assembler, tpls []*templates.
 		suspLimit: spec.SuspLimit,
 		assembler: asm,
 		attrStore: make([]planAttr, len(spec.Attrs)),
-		attrs:     make(map[string]*planAttr, len(spec.Attrs)),
-		types:     make(map[string]conftypes.Type, len(spec.Types)),
-		names:     make(map[string]string, 8),
 		nameIdx:   make([]nameCand, 0, len(spec.Attrs)),
 	}
 	for i := range spec.Attrs {
@@ -140,28 +139,15 @@ func NewPlanFromSpec(spec *PlanSpec, asm *assemble.Assembler, tpls []*templates.
 			check:   checkers.get(sa.Type),
 		}
 		pa.deriveScores(p.samples)
-		p.attrs[sa.Name] = pa
 		if !sa.Augmented {
 			p.nameIdx = append(p.nameIdx, nameCand{name: sa.Name, sig: sa.Sig})
 		}
 	}
-	for _, ty := range spec.Types {
-		p.types[ty.Name] = ty.Type
-		if _, ok := p.attrs[ty.Name]; !ok {
-			p.names[ty.Name] = ty.Name
-		}
-	}
-	for _, r := range spec.Rules {
-		if tpl := findTemplate(tpls, r.Template); tpl != nil {
-			p.rules = append(p.rules, planRule{rule: r, tpl: tpl})
-		}
-	}
-	p.pool.New = func() any { return newScratch(p) }
+	p.link(spec.Types, spec.Rules, tpls)
 	return p, nil
 }
 
-// findTemplate resolves a template ID against an installed set (the
-// package-level twin of Detector.template).
+// findTemplate resolves a template ID against an installed set.
 func findTemplate(tpls []*templates.Template, id string) *templates.Template {
 	for _, t := range tpls {
 		if t.ID == id {

@@ -14,7 +14,6 @@ package sysimage
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 )
 
@@ -165,13 +164,32 @@ func (im *Image) Clone() *Image {
 }
 
 // normalize cleans a path for lookup: collapses duplicate separators and
-// trailing slashes (except root).
+// trailing slashes (except root). Lookups nearly always pass clean paths,
+// so those skip path.Clean's rewrite loop.
 func normalize(p string) string {
-	if p == "" {
+	if p == "" || isClean(p) {
 		return p
 	}
-	cleaned := path.Clean(p)
-	return cleaned
+	return path.Clean(p)
+}
+
+// isClean reports that path.Clean would return p unchanged. It is one
+// byte scan and errs only towards false: any element starting with '.'
+// (".", "..", but also ".hidden") sends p through path.Clean.
+func isClean(p string) bool {
+	if p == "/" {
+		return true
+	}
+	n := len(p)
+	if n == 0 || p[0] == '.' || p[n-1] == '/' {
+		return false
+	}
+	for i := 0; i < n-1; i++ {
+		if p[i] == '/' && (p[i+1] == '/' || p[i+1] == '.') {
+			return false
+		}
+	}
+	return true
 }
 
 // AddFile records file metadata, creating parent directories implicitly
@@ -241,35 +259,38 @@ func (im *Image) Resolve(p string) *FileMeta {
 	return fm
 }
 
-// Children returns the direct children of a directory, sorted by path.
-func (im *Image) Children(dir string) []*FileMeta {
-	dir = normalize(dir)
-	var out []*FileMeta
-	for p, fm := range im.Files {
-		if p != dir && path.Dir(p) == dir {
-			out = append(out, fm)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
 // HasSubdir reports whether the directory contains at least one
 // sub-directory.
 func (im *Image) HasSubdir(dir string) bool {
-	for _, c := range im.Children(dir) {
-		if c.Kind == KindDir {
+	return im.hasChildKind(dir, KindDir)
+}
+
+// HasSymlink reports whether the directory contains at least one symbolic
+// link.
+func (im *Image) HasSymlink(dir string) bool {
+	return im.hasChildKind(dir, KindSymlink)
+}
+
+// hasChildKind reports whether some direct child of dir has the given
+// kind, in one pass over Files that allocates nothing for clean keys and
+// stops at the first match. A child is a key other than dir whose
+// path.Dir is dir; keys are compared as stored, clean or not.
+func (im *Image) hasChildKind(dir string, kind FileKind) bool {
+	dir = normalize(dir)
+	for p, fm := range im.Files {
+		if fm.Kind == kind && p != dir && path.Dir(p) == dir {
 			return true
 		}
 	}
 	return false
 }
 
-// HasSymlink reports whether the directory contains at least one symbolic
-// link.
-func (im *Image) HasSymlink(dir string) bool {
-	for _, c := range im.Children(dir) {
-		if c.Kind == KindSymlink {
+// HasPathSuffix reports whether some path in the image ends with "/"+rel,
+// that is, whether rel names the trailing elements of a recorded path (the
+// semantic check of PartialFilePath and FileName values).
+func (im *Image) HasPathSuffix(rel string) bool {
+	for p := range im.Files {
+		if n := len(p) - len(rel); n > 0 && p[n-1] == '/' && p[n:] == rel {
 			return true
 		}
 	}
@@ -313,18 +334,21 @@ func (im *Image) IsAdmin(user string) bool {
 }
 
 // PrimaryGroup returns the name of the user's primary group ("" if
-// unknown).
+// unknown). When several groups share the user's GID — collected
+// /etc/group files may repeat one — the lowest name wins, so the answer
+// never depends on map iteration order.
 func (im *Image) PrimaryGroup(user string) string {
 	u, ok := im.Users[user]
 	if !ok {
 		return ""
 	}
+	best, found := "", false
 	for name, g := range im.Groups {
-		if g.GID == u.GID {
-			return name
+		if g.GID == u.GID && (!found || name < best) {
+			best, found = name, true
 		}
 	}
-	return ""
+	return best
 }
 
 // PortRegistered reports whether the port appears in /etc/services.
@@ -421,35 +445,4 @@ func (im *Image) SetConfig(app, path, content string) {
 		}
 	}
 	im.ConfigFiles = append(im.ConfigFiles, ConfigFile{App: app, Path: path, Content: content})
-}
-
-// FileList returns every path in the image, sorted. It backs the
-// FS.FileList accessor exposed to customization code (Table 7).
-func (im *Image) FileList() []string {
-	out := make([]string, 0, len(im.Files))
-	for p := range im.Files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// UserList returns every account name, sorted (Acct.UserList).
-func (im *Image) UserList() []string {
-	out := make([]string, 0, len(im.Users))
-	for n := range im.Users {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// GroupList returns every group name, sorted (Acct.GroupList).
-func (im *Image) GroupList() []string {
-	out := make([]string, 0, len(im.Groups))
-	for n := range im.Groups {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

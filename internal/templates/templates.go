@@ -22,6 +22,11 @@ import (
 // Ctx is the evaluation context for one system: its dataset row and the
 // system image environment (for validators that consult the file system,
 // accounts, or services).
+//
+// Validators receive the attribute instances as arguments and read only
+// Image; no validator reads Row. Row is how the legacy Detector and the
+// rules engine fetch those instances, and the compiled check plan's Row
+// carries only SystemID.
 type Ctx struct {
 	Row   *dataset.Row
 	Image *sysimage.Image
