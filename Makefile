@@ -4,7 +4,7 @@ GO ?= go
 # the encore_build_info metric). Falls back to "dev" outside a git clone.
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 
-.PHONY: tier1 tier2 smoke serve-smoke fleet-smoke eval-matrix eval-matrix-smoke build bench bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet bench-all bench-smoke fuzz fmt
+.PHONY: tier1 tier2 smoke serve-smoke fleet-smoke perfbench-smoke eval-matrix eval-matrix-smoke build bench bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet bench-learn bench-all bench-smoke fuzz fmt
 
 # Stamped CLI binary: bin/encore reports $(VERSION) via `encore version`.
 build:
@@ -53,6 +53,23 @@ serve-smoke:
 # metric families on both.
 fleet-smoke:
 	VERSION=$(VERSION) ./scripts/fleet_smoke.sh
+
+# Perfbench smoke: perfbench/ is its own Go module, so neither tier runs
+# it. Run every BENCHMARK.json workload briefly (seed 1, 3 s), plus learn
+# traced, which adds the layer sum check, and fail unless every result
+# line reports correct outputs and no failed operations.
+PERFBENCH_SMOKE := $(or $(TMPDIR),/tmp)/encore-perfbench-smoke.jsonl
+perfbench-smoke:
+	rm -f $(PERFBENCH_SMOKE)
+	for w in fleet-privatecloud serve-faulty learn; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 >> $(PERFBENCH_SMOKE) || exit 1; \
+	done
+	bash perfbench/run.sh --workload learn --seed 1 --seconds 3 --trace 1 >> $(PERFBENCH_SMOKE)
+	@cat $(PERFBENCH_SMOKE)
+	@test "$$(grep -c '"correct":true,.*"failed":0,' $(PERFBENCH_SMOKE))" -eq 4 && \
+		test "$$(wc -l < $(PERFBENCH_SMOKE))" -eq 4 || \
+		{ echo "perfbench-smoke: a workload reported incorrect outputs or failed operations" >&2; exit 1; }
+	@echo "perfbench-smoke: 4 runs correct, 0 failed"
 
 # Regenerate the checked-in evaluation matrix: every error class × every
 # app population × every detector configuration at the default seed.
@@ -136,22 +153,33 @@ bench-fleet:
 	@grep -o '"Output":"[^"]*"' BENCH_fleet.json | sed 's/^"Output":"//;s/"$$//' | \
 		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
 
+# Learn-path perf trajectory: training-set assembly at the paper's
+# training sizes inline and on the NumCPU pool, and the full learn →
+# compile → marshal pass, recorded machine-readably like the other bench
+# families. allocs/op is the learn path's allocation budget.
+bench-learn:
+	$(GO) test -run '^$$' -bench='^Benchmark(AssembleTraining|Learn)$$' -benchmem -json . > BENCH_learn.json.tmp && mv BENCH_learn.json.tmp BENCH_learn.json
+	./scripts/bench_summary.sh BENCH_learn.json
+	@grep -o '"Output":"[^"]*"' BENCH_learn.json | sed 's/^"Output":"//;s/"$$//' | \
+		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
+
 # Refresh every recorded benchmark file in one go.
-bench-all: bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet
+bench-all: bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet bench-learn
 
 # One-iteration pass over the recorded benchmark families so CI catches
 # bench bit-rot without paying for stable measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench='BatchScan|RuleInference|DetectorCheck|ProfileCheck|PlanCheck|PlanColdStart|IncrementalInfer|FleetScan/images=1000' \
 		-benchtime 1x -benchmem . >/dev/null
+	$(GO) test -run '^$$' -bench='^Benchmark(AssembleTraining|Learn)$$' -benchtime 1x -benchmem . >/dev/null
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
 	$(GO) test -run '^$$' -bench=LoadJSON -benchtime 1x -benchmem ./internal/sysimage >/dev/null
 	@echo "bench-smoke: benchmarks build and run OK"
 
 # Short fuzz pass over each config-parser dialect (against the parsers as
-# first written), the plan decoder, the image decoder and the image's
-# environment probes (seed corpora always run as part of tier 1; this
-# explores beyond them).
+# first written), the plan decoder, the image decoder, the image's
+# environment probes and the bool-implies lexicon (against strings.ToLower;
+# seed corpora always run as part of tier 1; this explores beyond them).
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzINIParse -fuzztime 10s
@@ -159,6 +187,7 @@ fuzz:
 	$(GO) test ./internal/planio -fuzz FuzzPlanDecode -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzImageProbes -fuzztime 10s
+	$(GO) test ./internal/templates -fuzz FuzzNormBool -fuzztime 10s
 
 fmt:
 	gofmt -l .

@@ -24,6 +24,11 @@ const (
 	// still catching a per-string or per-varint alloc regression that would
 	// erode the cold-start win.
 	maxPlanDecodeAllocs = 600
+	// Learn → CompilePlan → MarshalPlan over a 30-image mysql training set
+	// costs ~114 allocations per training image with rows built straight
+	// from the assembly stream (308 when each row was recorded as an op
+	// log and replayed); the ceiling leaves ~2x headroom.
+	maxLearnAllocsPerImage = 230
 )
 
 // TestPlanCheckAllocCeiling pins the steady-state allocation count of one
@@ -113,4 +118,28 @@ func TestPlanDecodeAllocCeiling(t *testing.T) {
 		t.Errorf("LoadPlan allocated %.1f objects for a %d-byte plan; ceiling is %d",
 			allocs, len(data), maxPlanDecodeAllocs)
 	}
+}
+
+// TestLearnAllocCeiling pins the allocation count of a full learn pass —
+// assembly, rule inference, plan compile and encode — per training image,
+// so the learn path cannot quietly drift back toward per-row churn
+// (recorded op logs, per-instance name strings, per-cell slices).
+func TestLearnAllocCeiling(t *testing.T) {
+	training, err := corpus.Training("mysql", 30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := New()
+	learn := func() {
+		k, err := fw.Learn(training)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.MarshalPlan(fw.CompilePlan(k))
+	}
+	perImage := testing.AllocsPerRun(10, learn) / float64(len(training))
+	if perImage > maxLearnAllocsPerImage {
+		t.Errorf("learn allocated %.1f objects per training image; ceiling is %d", perImage, maxLearnAllocsPerImage)
+	}
+	t.Logf("learn: %.1f allocations per training image", perImage)
 }

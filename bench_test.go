@@ -188,16 +188,73 @@ func benchCorpus(b *testing.B, app string, n int) ([]*Image, *dataset.Dataset) {
 	return images, ds
 }
 
+// paperTrainingSizes are the training-set sizes of the paper's rule
+// inference evaluation (Table 12).
+var paperTrainingSizes = []struct {
+	app string
+	n   int
+}{{"apache", 127}, {"mysql", 187}, {"php", 123}}
+
+// BenchmarkAssembleTraining measures training-set assembly at the paper's
+// training sizes, inline (workers=1) and on the NumCPU pool, so bench
+// runs track both the per-image assembly cost and the pool's speedup.
 func BenchmarkAssembleTraining(b *testing.B) {
-	images, err := corpus.Training("mysql", 60, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := assemble.New().AssembleTraining(images); err != nil {
+	for _, s := range paperTrainingSizes {
+		images, err := corpus.Training(s.app, s.n, benchSeed)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, w := range []struct {
+			label   string
+			workers int
+		}{{"1", 1}, {"NumCPU", runtime.NumCPU()}} {
+			b.Run(fmt.Sprintf("app=%s/workers=%s", s.app, w.label), func(b *testing.B) {
+				asm := assemble.New()
+				asm.Workers = w.workers
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := asm.AssembleTraining(images); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(images)), "ns/image")
+			})
+		}
+	}
+}
+
+// BenchmarkLearn measures the learn path end to end at the paper's
+// training sizes: Learn, CompilePlan and MarshalPlan over images decoded
+// by sysimage.LoadJSON, the form a learner reading snapshots from disk
+// holds.
+func BenchmarkLearn(b *testing.B) {
+	for _, s := range paperTrainingSizes {
+		generated, err := corpus.Training(s.app, s.n, benchSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		images := make([]*Image, len(generated))
+		for i, im := range generated {
+			data, err := im.MarshalJSONIndent()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if images[i], err = sysimage.LoadJSON(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run("app="+s.app, func(b *testing.B) {
+			fw := New()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k, err := fw.Learn(images)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fw.MarshalPlan(fw.CompilePlan(k))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(images)), "ns/image")
+		})
 	}
 }
 
@@ -494,37 +551,6 @@ func BenchmarkAdvise(b *testing.B) {
 }
 
 // ---- concurrency benchmarks ----
-
-// BenchmarkAssembleTrainingSerial / Parallel measure the assembly worker
-// pool against the single-threaded reference on the same corpus, so bench
-// runs track the parallel-assembly speedup.
-func BenchmarkAssembleTrainingSerial(b *testing.B) {
-	images, err := corpus.Training("mysql", 60, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	asm := assemble.New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := asm.AssembleTrainingSerial(images); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAssembleTrainingParallel(b *testing.B) {
-	images, err := corpus.Training("mysql", 60, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	asm := assemble.New() // Workers 0 = NumCPU
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := asm.AssembleTraining(images); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // benchScanFleet learns once and returns a target fleet for the batch
 // scan benchmarks.

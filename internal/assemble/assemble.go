@@ -50,8 +50,9 @@ type Assembler struct {
 	// look like globs or regular expressions (a documented inference-error
 	// source in the paper).
 	SkipPatternValues bool
-	// Workers bounds the parallel-assembly pool; 0 means NumCPU, 1 forces
-	// the sequential reference path.
+	// Workers bounds the assembly pool; 0 means NumCPU, 1 runs the same
+	// path inline on the calling goroutine. The assembled dataset does not
+	// depend on it.
 	Workers int
 	// Telemetry, when set, receives stage timings and counters for every
 	// assembly run. Nil disables instrumentation.

@@ -3,7 +3,6 @@ package assemble
 import (
 	"strconv"
 
-	"repro/internal/conftypes"
 	"repro/internal/dataset"
 	"repro/internal/sysimage"
 	"repro/internal/telemetry"
@@ -17,82 +16,21 @@ import (
 // inference — from the batch's samples alone. The rows are not attached to
 // the dataset here; new columns (entries, augments, environment attributes)
 // are declared so AddRows can maintain the columnar index by delta.
+//
+// A delta is a handful of images (AddImages batches), so it assembles
+// inline: handing four images to the pool costs more in goroutine
+// wake-ups than the pool saves.
 func (a *Assembler) AssembleDeltaRows(d *dataset.Dataset, images []*sysimage.Image) ([]*dataset.Row, error) {
 	root := a.Telemetry.StartSpan("assemble.delta",
 		telemetry.A("images", strconv.Itoa(len(images))))
 	defer root.End()
 	attrsBefore := len(d.Attributes())
-
-	stopParse := a.Telemetry.StartStage(telemetry.StageAssembleParse)
-	parsed, err := a.parseImages(images)
-	stopParse()
+	rows, err := a.assembleRows(d, images, 1, root)
 	if err != nil {
 		return nil, err
 	}
-	a.Telemetry.Add(telemetry.CounterImagesParsed, int64(len(images)))
-	a.Telemetry.Add(telemetry.CounterFilesParsed, countFiles(images))
-
-	// Pass 1: resolve a type for every entry attribute the batch mentions.
-	// Known attributes reuse the dataset's learned type; unknown ones
-	// collect their batch samples (in first-seen order, like
-	// AssembleTraining) for entry-level inference.
-	stopInfer := a.Telemetry.StartStage(telemetry.StageAssembleInfer)
-	types := make(map[string]conftypes.Type)
-	samples := make(map[string][]conftypes.Sample)
-	var order []string
-	for _, pi := range parsed {
-		for _, nv := range extractPairs(pi) {
-			if _, done := types[nv.Name]; done {
-				continue
-			}
-			if attr, ok := d.Attr(nv.Name); ok {
-				types[nv.Name] = attr.Type
-				continue
-			}
-			if _, seen := samples[nv.Name]; !seen {
-				order = append(order, nv.Name)
-			}
-			samples[nv.Name] = append(samples[nv.Name], conftypes.Sample{Value: nv.Value, Image: pi.img})
-		}
-	}
-	for _, name := range order {
-		types[name] = a.Inferencer.InferEntryNamed(name, samples[name])
-	}
-	stopInfer()
-
-	// Pass 2: declare the new entry columns up front (first-seen order,
-	// mirroring AssembleTraining), then emit each image into a detached row.
-	// Augmented and environment columns declare themselves through the sink
-	// exactly as the training paths do.
-	stopRows := a.Telemetry.StartStage(telemetry.StageAssembleRows)
-	for _, name := range order {
-		d.DeclareAttr(name, types[name], false)
-	}
-	rows := make([]*dataset.Row, len(parsed))
-	for i, pi := range parsed {
-		row := &dataset.Row{SystemID: pi.img.ID, Cells: make(map[string][]string)}
-		a.emitRow(deltaSink{d: d, row: row}, pi, types)
-		rows[i] = row
-	}
-	stopRows()
-	a.Telemetry.Add(telemetry.CounterAttrsDeclared, int64(len(d.Attributes())-attrsBefore))
-	root.SetAttr("new_attributes", strconv.Itoa(len(d.Attributes())-attrsBefore))
+	added := len(d.Attributes()) - attrsBefore
+	a.Telemetry.Add(telemetry.CounterAttrsDeclared, int64(added))
+	root.SetAttr("new_attributes", strconv.Itoa(added))
 	return rows, nil
 }
-
-// deltaSink routes emitRow's operations for a detached row: declarations
-// and type refinements go to the shared dataset (new augmented/environment
-// columns must exist before AddRows indexes the rows), values go into the
-// detached row's cells.
-type deltaSink struct {
-	d   *dataset.Dataset
-	row *dataset.Row
-}
-
-func (s deltaSink) declare(name string, t conftypes.Type, augmented bool) {
-	s.d.DeclareAttr(name, t, augmented)
-}
-func (s deltaSink) add(name, value string) {
-	s.row.Cells[name] = append(s.row.Cells[name], value)
-}
-func (s deltaSink) setType(name string, t conftypes.Type) { s.d.SetType(name, t) }

@@ -1,16 +1,19 @@
 package assemble
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/conftypes"
 	"repro/internal/corpus"
 	"repro/internal/sysimage"
 	"repro/internal/telemetry"
 )
 
 // equivCorpus builds a mixed seed corpus: the three single-app populations
-// plus LAMP images whose rows span several config files per image.
+// plus LAMP images whose rows span several config files per image, and the
+// name collisions of collisionImages.
 func equivCorpus(t *testing.T) []*sysimage.Image {
 	t.Helper()
 	var images []*sysimage.Image
@@ -25,27 +28,76 @@ func equivCorpus(t *testing.T) []*sysimage.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(images, lamp...)
+	images = append(images, lamp...)
+	return append(images, collisionImages()...)
 }
 
-// TestParallelEquivalence locks the parallel AssembleTraining to the
-// sequential reference path: attribute order, inferred types, augmented
-// columns, and every row must be deep-equal on the seed corpus. Run under
-// -race this also exercises the worker pool for data races.
+// collisionImages are MySQL images with an entry "datadir.owner" whose
+// name equals the FilePath owner augmentation of "datadir", so one column
+// mixes entry and augmented values in stream order and is declared both
+// ways. The entry comes before datadir in some images, after it in
+// others, and is absent from one, so with equivAssembler's colliding
+// augmenter the first and last declared type of a column differ by row.
+func collisionImages() []*sysimage.Image {
+	var out []*sysimage.Image
+	for i, layout := range []string{
+		"datadir.owner = mysql\ndatadir = /var/lib/mysql\n",
+		"datadir = /var/lib/mysql\ndatadir.owner = root\n",
+		"datadir = /data/mysql\n",
+		"datadir.owner = root\ndatadir = /data/mysql\n",
+	} {
+		datadir := "/var/lib/mysql"
+		if i >= 2 {
+			datadir = "/data/mysql"
+		}
+		im := mysqlImage(fmt.Sprintf("collide-%d", i), datadir, "mysql")
+		im.SetConfig("mysql", "/etc/my.cnf", "[mysqld]\n"+layout+"user = mysql\nport = 3306\n")
+		out = append(out, im)
+	}
+	return out
+}
+
+// equivAssembler returns an assembler with a custom FilePath augmenter
+// whose suffix "owner.exists" makes "datadir"'s augmentation collide with
+// the UserName "exists" augmentation of the "datadir.owner" entry: the
+// same column is declared with type String from one base type and Boolean
+// from another, in an order that varies by row.
+func equivAssembler(workers int) *Assembler {
+	a := New()
+	a.Workers = workers
+	a.AddAugmenter(conftypes.TypeFilePath, Augmenter{
+		Suffix: "owner.exists",
+		Type:   conftypes.TypeString,
+		Compute: func(v string, im *sysimage.Image) (string, bool) {
+			if fm := im.Resolve(v); fm != nil {
+				return "owned-by-" + fm.Owner, true
+			}
+			return "", false
+		},
+	})
+	return a
+}
+
+// TestParallelEquivalence locks AssembleTraining to the serial oracle
+// (oracle_test.go): attribute order, inferred types, augmented columns,
+// and every row must be deep-equal on the seed corpus at every pool size.
+// Run under -race this also exercises the worker pool for data races.
 func TestParallelEquivalence(t *testing.T) {
 	images := equivCorpus(t)
-
-	serial := New()
-	serial.Workers = 1
-	want, err := serial.AssembleTrainingSerial(images)
+	want, err := assembleTrainingSerial(equivAssembler(1), images)
 	if err != nil {
 		t.Fatal(err)
 	}
+	collided, _ := want.Attr("mysql:mysqld/datadir.owner.exists")
+	if !collided.Augmented || collided.Type != conftypes.TypeString {
+		t.Fatalf("collision column = %+v, want augmented String (the last row's last declaration)", collided)
+	}
+	if mixed, _ := want.Attr("mysql:mysqld/datadir.owner"); mixed.Augmented || mixed.Type != conftypes.TypeUserName {
+		t.Fatalf("entry/augment column = %+v, want a non-augmented UserName entry", mixed)
+	}
 
-	for _, workers := range []int{0, 2, 3, 7} {
-		par := New()
-		par.Workers = workers
-		got, err := par.AssembleTraining(images)
+	for _, workers := range []int{1, 0, 2, 3, 7} {
+		got, err := equivAssembler(workers).AssembleTraining(images)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -61,8 +113,8 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestWorkersOneUsesSerialPath pins the Workers=1 fast path to the serial
-// reference.
+// TestWorkersOneUsesSerialPath pins the inline Workers=1 path to the
+// serial oracle.
 func TestWorkersOneUsesSerialPath(t *testing.T) {
 	images := equivCorpus(t)[:5]
 	a := New()
@@ -71,7 +123,7 @@ func TestWorkersOneUsesSerialPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New().AssembleTrainingSerial(images)
+	want, err := assembleTrainingSerial(New(), images)
 	if err != nil {
 		t.Fatal(err)
 	}

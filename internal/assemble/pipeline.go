@@ -22,34 +22,6 @@ type parsedImage struct {
 	files []*confparse.File
 }
 
-// attrName builds the canonical column name for an entry argument.
-// Single-value entries keep their entry name; multi-argument entries get
-// /argN positions ("LoadModule/arg2"); bare flags get the entry name with
-// the implicit value "on".
-func attrName(app string, e *confparse.Entry, argIdx, argCount int) string {
-	base := app + ":" + e.Name()
-	if argCount <= 1 {
-		return base
-	}
-	return fmt.Sprintf("%s/arg%d", base, argIdx+1)
-}
-
-// nameValue is one (attribute name, value) contribution of an entry.
-type nameValue struct{ Name, Value string }
-
-// entryValues returns the (attribute name, value) pairs an entry
-// contributes.
-func entryValues(app string, e *confparse.Entry) []nameValue {
-	if len(e.Values) == 0 {
-		return []nameValue{{attrName(app, e, 0, 1), "on"}}
-	}
-	out := make([]nameValue, 0, len(e.Values))
-	for i, v := range e.Values {
-		out = append(out, nameValue{attrName(app, e, i, len(e.Values)), v})
-	}
-	return out
-}
-
 // parseOne parses every configuration file of a single image. Errors carry
 // the image ID (confparse adds the app and file path).
 func parseOne(img *sysimage.Image) (parsedImage, error) {
@@ -62,23 +34,6 @@ func parseOne(img *sysimage.Image) (parsedImage, error) {
 		pi.files = append(pi.files, f)
 	}
 	return pi, nil
-}
-
-// parseImages is the sequential parse loop; each image's parse latency
-// feeds the per-image histogram.
-func (a *Assembler) parseImages(images []*sysimage.Image) ([]parsedImage, error) {
-	parsed := make([]parsedImage, 0, len(images))
-	for _, img := range images {
-		start := time.Now()
-		pi, err := parseOne(img)
-		a.Telemetry.ObserveDur(telemetry.HistImageParse, time.Since(start))
-		if err != nil {
-			telemetry.LoggerOr(a.Log).Warn("image parse failed", "image", img.ID, "err", err)
-			return nil, err
-		}
-		parsed = append(parsed, pi)
-	}
-	return parsed, nil
 }
 
 // workerCount resolves the assembler's pool size for n independent work
@@ -96,8 +51,9 @@ func (a *Assembler) workerCount(n int) int {
 }
 
 // forEachIndexed runs fn(i, worker) for i in [0, n) on a bounded worker
-// pool; worker identifies the executing pool slot so instrumentation can
-// attribute work to timelines. fn must write only to its own index of any
+// pool, inline when workers <= 1; worker identifies the executing pool
+// slot so instrumentation can attribute work to timelines and callers can
+// keep per-worker state. fn must write only to its own index of any
 // shared slice.
 func forEachIndexed(n, workers int, fn func(i, worker int)) {
 	if n == 0 {
@@ -127,13 +83,11 @@ func forEachIndexed(n, workers int, fn func(i, worker int)) {
 	wg.Wait()
 }
 
-// parseImagesParallel parses every image on the worker pool. Results stay
-// in image order, and the error returned is the one the sequential path
-// would have hit first (lowest image index), so both paths are
-// observationally identical. Each image's parse is a child span of parent
-// attributed to its pool worker, and its latency feeds the per-image
-// parse histogram.
-func (a *Assembler) parseImagesParallel(images []*sysimage.Image, workers int, parent *telemetry.Span) ([]parsedImage, error) {
+// parseImages parses every image on the worker pool. Results stay in
+// image order, and the error returned is the first in image order. Each
+// image's parse is a child span of parent attributed to its pool worker,
+// and its latency feeds the per-image parse histogram.
+func (a *Assembler) parseImages(images []*sysimage.Image, workers int, parent *telemetry.Span) ([]parsedImage, error) {
 	parsed := make([]parsedImage, len(images))
 	errs := make([]error, len(images))
 	forEachIndexed(len(images), workers, func(i, w int) {
@@ -169,24 +123,95 @@ func countFiles(images []*sysimage.Image) int64 {
 // attribute from all samples across the training set, and augments each row
 // with environment attributes.
 //
-// Parsing, sample extraction, type inference, and row construction all run
-// on a bounded worker pool (Workers; 0 = NumCPU), with a deterministic
-// merge: the produced dataset — attribute order, inferred types, augmented
-// columns, row contents — is identical to AssembleTrainingSerial's.
+// Parsing, type inference and row building run on a bounded worker pool
+// (Workers; 0 = NumCPU, 1 = inline), and the merge is in image order, so
+// the dataset — attribute order, inferred types, augmented columns, row
+// contents — does not depend on the pool size.
 func (a *Assembler) AssembleTraining(images []*sysimage.Image) (*dataset.Dataset, error) {
 	workers := a.workerCount(len(images))
-	if workers <= 1 {
-		return a.AssembleTrainingSerial(images)
-	}
-
 	root := a.Telemetry.StartSpan("assemble.training",
 		telemetry.A("images", strconv.Itoa(len(images))),
 		telemetry.A("workers", strconv.Itoa(workers)))
 	defer root.End()
+	d := dataset.New()
+	rows, err := a.assembleRows(d, images, workers, root)
+	if err != nil {
+		return nil, err
+	}
+	d.Rows = rows
+	a.Telemetry.Add(telemetry.CounterAttrsDeclared, int64(len(d.Attributes())))
+	return d, nil
+}
 
+// entryTable lists every entry attribute the images of one assembly call
+// mention, in first-seen order, with its type.
+type entryTable struct {
+	slot  map[string]int32
+	names []string
+	types []conftypes.Type
+	// known marks attributes the dataset already declares, which keep
+	// their type; samples holds the instances of every other attribute,
+	// and fresh lists those attributes in first-seen order.
+	known   []bool
+	samples [][]conftypes.Sample
+	fresh   []int32
+}
+
+// typeOf returns the resolved type of an entry attribute of the table.
+func (t *entryTable) typeOf(name, _ string) conftypes.Type {
+	return t.types[t.slot[name]]
+}
+
+// entryTypes is the first pass of assembly: it collects every entry
+// attribute's samples in image order, runs entry-level inference per
+// attribute on the pool, and declares the attributes d lacks on d in
+// first-seen order.
+func (a *Assembler) entryTypes(d *dataset.Dataset, parsed []parsedImage, workers int) *entryTable {
+	t := &entryTable{slot: make(map[string]int32)}
+	buf := make([]byte, 0, 96)
+	for _, pi := range parsed {
+		buf = forEachEntry(buf, pi, func(name []byte, value string) []byte {
+			i, ok := t.slot[string(name)]
+			if !ok {
+				n := string(name)
+				i = int32(len(t.names))
+				t.slot[n] = i
+				t.names = append(t.names, n)
+				attr, known := d.Attr(n)
+				t.types = append(t.types, attr.Type)
+				t.known = append(t.known, known)
+				t.samples = append(t.samples, nil)
+				if !known {
+					t.fresh = append(t.fresh, i)
+				}
+			}
+			if !t.known[i] {
+				t.samples[i] = append(t.samples[i], conftypes.Sample{Value: value, Image: pi.img})
+			}
+			return name
+		})
+	}
+	forEachIndexed(len(t.fresh), workers, func(j, _ int) {
+		i := t.fresh[j]
+		t.types[i] = a.Inferencer.InferEntryNamed(t.names[i], t.samples[i])
+	})
+	for _, i := range t.fresh {
+		d.DeclareAttr(t.names[i], t.types[i], false)
+	}
+	return t
+}
+
+// assembleRows assembles images into detached rows against d, the shared
+// core of AssembleTraining and AssembleDeltaRows. Entry attributes d
+// already declares keep their type; every other entry attribute gets
+// entry-level inference from this batch's samples and is declared on d in
+// first-seen order. Rows are then built concurrently, one row sink per
+// worker, and each row's augmented declarations are applied to d in image
+// order.
+func (a *Assembler) assembleRows(d *dataset.Dataset, images []*sysimage.Image, workers int, root *telemetry.Span) ([]*dataset.Row, error) {
 	parseSpan := root.StartChild("assemble.parse")
 	stopParse := a.Telemetry.StartStage(telemetry.StageAssembleParse)
-	parsed, err := a.parseImagesParallel(images, workers, parseSpan)
+	parsed, err := a.parseImages(images, workers, parseSpan)
 	stopParse()
 	parseSpan.End()
 	if err != nil {
@@ -195,271 +220,68 @@ func (a *Assembler) AssembleTraining(images []*sysimage.Image) (*dataset.Dataset
 	a.Telemetry.Add(telemetry.CounterImagesParsed, int64(len(images)))
 	a.Telemetry.Add(telemetry.CounterFilesParsed, countFiles(images))
 
-	// Pass 1: extract each image's (attribute, value) stream concurrently,
-	// then merge in image order — first-seen attribute order and per-
-	// attribute sample order come out exactly as the sequential single
-	// loop produces them.
 	inferSpan := root.StartChild("assemble.infer")
 	stopInfer := a.Telemetry.StartStage(telemetry.StageAssembleInfer)
-	extracted := make([][]nameValue, len(parsed))
-	forEachIndexed(len(parsed), workers, func(i, _ int) {
-		extracted[i] = extractPairs(parsed[i])
-	})
-	samples := make(map[string][]conftypes.Sample)
-	var order []string
-	for i, pairs := range extracted {
-		img := parsed[i].img
-		for _, nv := range pairs {
-			if _, seen := samples[nv.Name]; !seen {
-				order = append(order, nv.Name)
-			}
-			samples[nv.Name] = append(samples[nv.Name], conftypes.Sample{Value: nv.Value, Image: img})
-		}
-	}
-
-	// Entry-level inference is independent per attribute.
-	inferred := make([]conftypes.Type, len(order))
-	forEachIndexed(len(order), workers, func(i, _ int) {
-		inferred[i] = a.Inferencer.InferEntryNamed(order[i], samples[order[i]])
-	})
-	types := make(map[string]conftypes.Type, len(order))
-	for i, name := range order {
-		types[name] = inferred[i]
-	}
+	t := a.entryTypes(d, parsed, workers)
 	stopInfer()
-	inferSpan.SetAttr("attributes", strconv.Itoa(len(order)))
+	inferSpan.SetAttr("attributes", strconv.Itoa(len(t.fresh)))
 	inferSpan.End()
 
-	// Pass 2: build each row's attribute operations concurrently (the
-	// augmenters' environment lookups dominate here), then replay them
-	// into the dataset in image order so dynamic column declaration is
-	// byte-identical to the sequential path.
+	// Pass 2: stream every image into its worker's row sink, then apply
+	// the rows' augmented declarations in image order.
 	rowsSpan := root.StartChild("assemble.rows")
 	stopRows := a.Telemetry.StartStage(telemetry.StageAssembleRows)
-	recorded := make([]recordedRow, len(parsed))
+	rows := make([]*dataset.Row, len(parsed))
+	decls := make([][]augDecl, len(parsed))
+	sinks := make([]*rowSink, workers)
 	forEachIndexed(len(parsed), workers, func(i, w int) {
 		sp := rowsSpan.StartChild("assemble.row",
 			telemetry.A("image", parsed[i].img.ID), telemetry.A("worker", strconv.Itoa(w)))
-		a.emitRow(&recorded[i], parsed[i], types)
+		s := sinks[w]
+		if s == nil {
+			s = newRowSink(t.typeOf)
+			sinks[w] = s
+		}
+		s.buf = a.stream(s.buf, parsed[i], s)
+		rows[i], decls[i] = s.flush(parsed[i].img.ID)
 		sp.End()
 	})
-	d := dataset.New()
-	for _, name := range order {
-		d.DeclareAttr(name, types[name], false)
-	}
-	for i, pi := range parsed {
-		row := d.NewRow(pi.img.ID)
-		recorded[i].replay(d, row)
+	for _, dc := range decls {
+		applyDecls(d, dc)
 	}
 	stopRows()
 	rowsSpan.End()
-	a.Telemetry.Add(telemetry.CounterAttrsDeclared, int64(len(d.Attributes())))
-	return d, nil
-}
-
-// AssembleTrainingSerial is the single-threaded reference implementation of
-// AssembleTraining, kept as the equivalence oracle for the parallel path
-// and for the parallelism ablation benchmark.
-func (a *Assembler) AssembleTrainingSerial(images []*sysimage.Image) (*dataset.Dataset, error) {
-	root := a.Telemetry.StartSpan("assemble.training",
-		telemetry.A("images", strconv.Itoa(len(images))),
-		telemetry.A("workers", "1"))
-	defer root.End()
-	stopParse := a.Telemetry.StartStage(telemetry.StageAssembleParse)
-	parsed, err := a.parseImages(images)
-	stopParse()
-	if err != nil {
-		return nil, err
-	}
-	a.Telemetry.Add(telemetry.CounterImagesParsed, int64(len(images)))
-	a.Telemetry.Add(telemetry.CounterFilesParsed, countFiles(images))
-
-	// Pass 1: collect samples per attribute for entry-level type
-	// inference.
-	stopInfer := a.Telemetry.StartStage(telemetry.StageAssembleInfer)
-	samples := make(map[string][]conftypes.Sample)
-	var order []string
-	for _, pi := range parsed {
-		for _, nv := range extractPairs(pi) {
-			if _, seen := samples[nv.Name]; !seen {
-				order = append(order, nv.Name)
-			}
-			samples[nv.Name] = append(samples[nv.Name], conftypes.Sample{Value: nv.Value, Image: pi.img})
-		}
-	}
-	types := make(map[string]conftypes.Type, len(samples))
-	for name, ss := range samples {
-		types[name] = a.Inferencer.InferEntryNamed(name, ss)
-	}
-	stopInfer()
-
-	// Pass 2: build the dataset with augmentation.
-	stopRows := a.Telemetry.StartStage(telemetry.StageAssembleRows)
-	d := dataset.New()
-	for _, name := range order {
-		d.DeclareAttr(name, types[name], false)
-	}
-	for _, pi := range parsed {
-		row := d.NewRow(pi.img.ID)
-		a.emitRow(directSink{d: d, row: row}, pi, types)
-	}
-	stopRows()
-	a.Telemetry.Add(telemetry.CounterAttrsDeclared, int64(len(d.Attributes())))
-	return d, nil
-}
-
-// extractPairs flattens one parsed image into its ordered (attribute,
-// value) stream.
-func extractPairs(pi parsedImage) []nameValue {
-	var out []nameValue
-	for _, f := range pi.files {
-		for _, e := range f.Entries {
-			out = append(out, entryValues(f.App, e)...)
-		}
-	}
-	return out
+	return rows, nil
 }
 
 // AssembleTarget assembles a single target image using the attribute types
 // learned during training. Attributes unseen in training are inferred from
 // the target's own context.
 func (a *Assembler) AssembleTarget(img *sysimage.Image, training *dataset.Dataset) (*dataset.Dataset, error) {
-	start := time.Now()
-	pi, err := parseOne(img)
-	a.Telemetry.ObserveDur(telemetry.HistImageParse, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	a.Telemetry.Add(telemetry.CounterImagesParsed, 1)
-	a.Telemetry.Add(telemetry.CounterFilesParsed, int64(len(img.ConfigFiles)))
-	types := make(map[string]conftypes.Type)
-	for _, f := range pi.files {
-		for _, e := range f.Entries {
-			for _, nv := range entryValues(f.App, e) {
-				if _, done := types[nv.Name]; done {
-					continue
-				}
-				if attr, ok := training.Attr(nv.Name); ok {
-					types[nv.Name] = attr.Type
-				} else {
-					types[nv.Name] = a.Inferencer.InferValue(nv.Value, img)
-				}
-			}
+	s := newRowSink(func(name, value string) conftypes.Type {
+		if attr, ok := training.Attr(name); ok {
+			return attr.Type
 		}
+		return a.Inferencer.InferValue(value, img)
+	})
+	if err := a.StreamTarget(img, s); err != nil {
+		return nil, err
 	}
 	d := dataset.New()
 	// Copy training column declarations so checks can reference them even
-	// when absent on the target.
+	// when absent on the target, then the target's own entry attributes.
 	for _, attr := range training.Attributes() {
 		d.DeclareAttr(attr.Name, attr.Type, attr.Augmented)
 	}
-	for name, t := range types {
-		d.DeclareAttr(name, t, false)
+	for _, n := range s.names {
+		if n.typed {
+			d.DeclareAttr(n.name, n.typ, false)
+		}
 	}
-	row := d.NewRow(img.ID)
-	a.emitRow(directSink{d: d, row: row}, pi, types)
+	row, decls := s.flush(img.ID)
+	applyDecls(d, decls)
+	d.Rows = append(d.Rows, row)
 	return d, nil
-}
-
-// rowSink receives the attribute operations emitRow produces for one row.
-// The sequential path applies them to the dataset directly; the parallel
-// path records them for a deterministic in-order replay.
-type rowSink interface {
-	declare(name string, t conftypes.Type, augmented bool)
-	add(name, value string)
-	setType(name string, t conftypes.Type)
-}
-
-// directSink applies row operations straight to a dataset row.
-type directSink struct {
-	d   *dataset.Dataset
-	row *dataset.Row
-}
-
-func (s directSink) declare(name string, t conftypes.Type, augmented bool) {
-	s.d.DeclareAttr(name, t, augmented)
-}
-func (s directSink) add(name, value string)                { s.d.Add(s.row, name, value) }
-func (s directSink) setType(name string, t conftypes.Type) { s.d.SetType(name, t) }
-
-// rowOp is one recorded dataset operation.
-type rowOp struct {
-	kind      uint8 // opDeclare, opAdd, opSetType
-	name      string
-	value     string // opAdd value
-	typ       conftypes.Type
-	augmented bool
-}
-
-const (
-	opDeclare uint8 = iota
-	opAdd
-	opSetType
-)
-
-// recordedRow buffers one row's operations for later replay.
-type recordedRow struct{ ops []rowOp }
-
-func (r *recordedRow) declare(name string, t conftypes.Type, augmented bool) {
-	r.ops = append(r.ops, rowOp{kind: opDeclare, name: name, typ: t, augmented: augmented})
-}
-func (r *recordedRow) add(name, value string) {
-	r.ops = append(r.ops, rowOp{kind: opAdd, name: name, value: value})
-}
-func (r *recordedRow) setType(name string, t conftypes.Type) {
-	r.ops = append(r.ops, rowOp{kind: opSetType, name: name, typ: t})
-}
-
-// replay applies the recorded operations to a dataset row in the exact
-// order emitRow produced them.
-func (r *recordedRow) replay(d *dataset.Dataset, row *dataset.Row) {
-	for _, op := range r.ops {
-		switch op.kind {
-		case opDeclare:
-			d.DeclareAttr(op.name, op.typ, op.augmented)
-		case opAdd:
-			d.Add(row, op.name, op.value)
-		case opSetType:
-			d.SetType(op.name, op.typ)
-		}
-	}
-}
-
-// emitRow produces the original entries, the Table 5a augmented
-// attributes, and the Table 5b environment attributes for one image.
-func (a *Assembler) emitRow(sink rowSink, pi parsedImage, types map[string]conftypes.Type) {
-	for _, f := range pi.files {
-		for _, e := range f.Entries {
-			for _, nv := range entryValues(f.App, e) {
-				sink.declare(nv.Name, types[nv.Name], false)
-				sink.add(nv.Name, nv.Value)
-				a.augment(sink, nv.Name, nv.Value, types[nv.Name], pi.img)
-			}
-		}
-	}
-	for _, env := range a.envAttrs {
-		if v, ok := env.Compute(pi.img); ok {
-			sink.declare(env.Name, env.Type, true)
-			sink.add(env.Name, v)
-			sink.setType(env.Name, env.Type)
-		}
-	}
-}
-
-func (a *Assembler) augment(sink rowSink, name, value string, t conftypes.Type, img *sysimage.Image) {
-	if a.SkipPatternValues && conftypes.LooksLikeRegexOrGlob(value) {
-		return
-	}
-	for _, aug := range a.augmenters[t] {
-		v, ok := aug.Compute(value, img)
-		if !ok {
-			continue
-		}
-		augName := name + "." + aug.Suffix
-		sink.declare(augName, aug.Type, true)
-		sink.add(augName, v)
-		sink.setType(augName, aug.Type)
-	}
 }
 
 // AppsIn lists the distinct applications configured in the images, sorted.

@@ -4,19 +4,19 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/confparse"
 	"repro/internal/conftypes"
 	"repro/internal/sysimage"
 	"repro/internal/telemetry"
 )
 
-// TargetSink receives the assembled attribute stream of one target image.
-// It is the zero-materialization counterpart of AssembleTarget's dataset:
-// a compiled check plan implements it over pooled per-worker scratch so a
+// TargetSink receives the assembled attribute stream of one image. The
+// compiled check plan implements it over pooled per-worker scratch so a
 // batch scan builds no dataset, no attribute index, and no fresh name
-// strings per image.
+// strings per image; the assembler's own row sink implements it to build
+// the dataset rows of training, delta and target assembly.
 //
-// StreamTarget drives the sink in exactly the order the dataset path
-// produces attributes: for every entry argument Declare, then Add, then
+// The stream order is: for every entry argument Declare, then Add, then
 // the Table 5a augmentations (each Declare+Add); finally the Table 5b
 // environment attributes.
 type TargetSink interface {
@@ -40,17 +40,16 @@ type TargetSink interface {
 }
 
 // appendEntryName appends the canonical attribute name of one entry
-// argument to buf — the byte-building twin of attrName, kept in lockstep
-// with it ("app:section/key" or "app:key", plus "/argN" for
-// multi-argument entries).
-func appendEntryName(buf []byte, app string, e *entryRef, argIdx, argCount int) []byte {
+// argument to buf: "app:section/key" or "app:key", plus "/argN" for
+// multi-argument entries.
+func appendEntryName(buf []byte, app string, e *confparse.Entry, argIdx, argCount int) []byte {
 	buf = append(buf, app...)
 	buf = append(buf, ':')
-	if e.section != "" {
-		buf = append(buf, e.section...)
+	if e.Section != "" {
+		buf = append(buf, e.Section...)
 		buf = append(buf, '/')
 	}
-	buf = append(buf, e.key...)
+	buf = append(buf, e.Key...)
 	if argCount > 1 {
 		buf = append(buf, "/arg"...)
 		buf = strconv.AppendInt(buf, int64(argIdx+1), 10)
@@ -58,17 +57,32 @@ func appendEntryName(buf []byte, app string, e *entryRef, argIdx, argCount int) 
 	return buf
 }
 
-// entryRef carries the name parts of one parsed entry without forcing the
-// confparse import into the name builder's signature.
-type entryRef struct{ section, key string }
+// forEachEntry calls fn for every entry instance of pi in stream order,
+// with the instance's attribute name built in buf. Bare flags carry the
+// implicit value "on"; multi-argument entries contribute one instance per
+// argument. name is only valid during the call; fn returns the (possibly
+// grown) scratch buffer for the next name.
+func forEachEntry(buf []byte, pi parsedImage, fn func(name []byte, value string) []byte) []byte {
+	for _, f := range pi.files {
+		for _, e := range f.Entries {
+			if len(e.Values) == 0 {
+				buf = fn(appendEntryName(buf[:0], f.App, e, 0, 1), "on")
+				continue
+			}
+			for i, v := range e.Values {
+				buf = fn(appendEntryName(buf[:0], f.App, e, i, len(e.Values)), v)
+			}
+		}
+	}
+	return buf
+}
 
 // StreamTarget parses one target image and streams its assembled
 // attributes — configuration entries, Table 5a augmentations, Table 5b
 // environment attributes — into sink, without materializing a dataset.
-// Attribute order, names, types, and values are identical to what
-// AssembleTarget would have placed in its single row; the difference is
-// purely allocational. It is the per-image fast path of the compiled
-// check plan (internal/detect.Plan).
+// It is the per-image fast path of the compiled check plan
+// (internal/detect.Plan), and AssembleTarget is this stream collected
+// into a one-row dataset.
 func (a *Assembler) StreamTarget(img *sysimage.Image, sink TargetSink) error {
 	start := time.Now()
 	pi, err := parseOne(img)
@@ -78,31 +92,25 @@ func (a *Assembler) StreamTarget(img *sysimage.Image, sink TargetSink) error {
 	}
 	a.Telemetry.Add(telemetry.CounterImagesParsed, 1)
 	a.Telemetry.Add(telemetry.CounterFilesParsed, int64(len(img.ConfigFiles)))
+	a.stream(make([]byte, 0, 96), pi, sink)
+	return nil
+}
 
-	buf := make([]byte, 0, 96)
-	for _, f := range pi.files {
-		for _, e := range f.Entries {
-			ref := entryRef{section: e.Section, key: e.Key}
-			if len(e.Values) == 0 {
-				// Bare flags carry the implicit value "on", exactly like
-				// entryValues.
-				buf = appendEntryName(buf[:0], f.App, &ref, 0, 1)
-				buf = a.streamOne(buf, sink, sink.InternName(buf), "on", img)
-				continue
-			}
-			for i, v := range e.Values {
-				buf = appendEntryName(buf[:0], f.App, &ref, i, len(e.Values))
-				buf = a.streamOne(buf, sink, sink.InternName(buf), v, img)
-			}
-		}
-	}
+// stream walks one parsed image into sink: the one code path that turns
+// configuration entries and the image's environment into attribute
+// instances, for scans and for every dataset the assembler builds. buf is
+// scratch for constructed names; the grown buffer is returned for reuse.
+func (a *Assembler) stream(buf []byte, pi parsedImage, sink TargetSink) []byte {
+	buf = forEachEntry(buf, pi, func(name []byte, value string) []byte {
+		return a.streamOne(name, sink, sink.InternName(name), value, pi.img)
+	})
 	for _, env := range a.envAttrs {
-		if v, ok := env.Compute(img); ok {
+		if v, ok := env.Compute(pi.img); ok {
 			sink.Declare(env.Name, env.Type, true)
 			sink.Add(env.Name, v)
 		}
 	}
-	return nil
+	return buf
 }
 
 // streamOne emits one entry attribute instance and its augmentations,

@@ -13,6 +13,7 @@ package templates
 import (
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
@@ -91,10 +92,31 @@ func first(vs []string) (string, bool) {
 	return vs[0], true
 }
 
-// normBool maps the boolean lexicon to true/false; ok=false for non-boolean
-// words.
+// normBool maps the boolean lexicon to true/false, ignoring case; ok=false
+// for non-boolean words. It runs for both values of every bool-implies
+// candidate row, so ASCII input is folded in a stack buffer instead of
+// allocating a lowered copy. Other input goes through strings.ToLower
+// first, whose Unicode mappings can land on the lexicon (U+0130 lowers to
+// 'i'), so the answer is strings.ToLower's for every input.
 func normBool(v string) (bool, bool) {
-	switch strings.ToLower(v) {
+	for i := 0; i < len(v); i++ {
+		if v[i] >= utf8.RuneSelf {
+			v = strings.ToLower(v)
+			break
+		}
+	}
+	var buf [len("disabled")]byte // the longest lexicon word
+	if len(v) > len(buf) {
+		return false, false
+	}
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	switch string(buf[:len(v)]) {
 	case "on", "true", "yes", "1", "enabled":
 		return true, true
 	case "off", "false", "no", "0", "disabled", "none":

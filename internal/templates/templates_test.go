@@ -1,6 +1,7 @@
 package templates
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/conftypes"
@@ -280,6 +281,39 @@ func TestRegisterCustomOp(t *testing.T) {
 	}
 }
 
+// normBoolToLower is normBool as first written, lower-casing through
+// strings.ToLower: the reference the allocation-free version must match
+// on every input.
+func normBoolToLower(v string) (bool, bool) {
+	switch strings.ToLower(v) {
+	case "on", "true", "yes", "1", "enabled":
+		return true, true
+	case "off", "false", "no", "0", "disabled", "none":
+		return false, true
+	default:
+		return false, false
+	}
+}
+
+// normBoolSeeds covers every lexicon word in several casings, the empty
+// string, inputs longer than the longest word, and the non-ASCII letters
+// whose Unicode case mappings reach ASCII: U+212A KELVIN SIGN lowers to
+// 'k', U+0130 to 'i', and U+017F LONG S upper-cases to 'S'.
+func normBoolSeeds() []string {
+	seeds := []string{"", "maybe", "o", "disabledx", "enabled ", " on", "DISABLED!", "not-a-boolean-word",
+		"\u212A", "\u017F", "\u0130", "d\u0130sabled", "D\u0130SABLED", "\u017Fure", "di\u017Fabled",
+		"\u212Aeep", "\u0130\u0130\u0130\u0130\u0130", "en\u0130abled", "yes\u212A", "\xff", "on\x00"}
+	for _, w := range []string{"on", "true", "yes", "1", "enabled", "off", "false", "no", "0", "disabled", "none"} {
+		upper := strings.ToUpper(w)
+		mixed := []byte(w)
+		for i := 0; i < len(mixed); i += 2 {
+			mixed[i] = upper[i]
+		}
+		seeds = append(seeds, w, upper, string(mixed), upper[:1]+w[1:], w+w)
+	}
+	return seeds
+}
+
 func TestNormBool(t *testing.T) {
 	for _, v := range []string{"On", "TRUE", "yes", "1", "enabled"} {
 		if b, ok := normBool(v); !ok || !b {
@@ -294,4 +328,34 @@ func TestNormBool(t *testing.T) {
 	if _, ok := normBool("maybe"); ok {
 		t.Error("normBool should reject unknown words")
 	}
+	for _, v := range normBoolSeeds() {
+		b, ok := normBool(v)
+		wb, wok := normBoolToLower(v)
+		if b != wb || ok != wok {
+			t.Errorf("normBool(%q) = %v %v, strings.ToLower reference says %v %v", v, b, ok, wb, wok)
+		}
+	}
+	if b, ok := normBool("D\u0130SABLED"); !ok || b {
+		t.Errorf("normBool must follow strings.ToLower's U+0130 mapping, got %v %v", b, ok)
+	}
+	for _, v := range []string{"Enabled", "DISABLED", "off", "ServerTokens-Full"} {
+		if n := testing.AllocsPerRun(100, func() { normBool(v) }); n != 0 {
+			t.Errorf("normBool(%q) allocated %.0f times", v, n)
+		}
+	}
+}
+
+// FuzzNormBool holds normBool to the strings.ToLower reference on
+// arbitrary input.
+func FuzzNormBool(f *testing.F) {
+	for _, v := range normBoolSeeds() {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		b, ok := normBool(v)
+		wb, wok := normBoolToLower(v)
+		if b != wb || ok != wok {
+			t.Fatalf("normBool(%q) = %v %v, strings.ToLower reference says %v %v", v, b, ok, wb, wok)
+		}
+	})
 }
