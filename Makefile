@@ -177,13 +177,16 @@ bench-smoke:
 	@echo "bench-smoke: benchmarks build and run OK"
 
 # Short fuzz pass over each config-parser dialect (against the parsers as
-# first written), the plan decoder, the image decoder, the image's
-# environment probes and the bool-implies lexicon (against strings.ToLower;
-# seed corpora always run as part of tier 1; this explores beyond them).
+# first written, through a fresh and a reused scratch), PortNumber
+# inference (against strconv.Atoi), the plan decoder, the image decoder,
+# the image's environment probes and the bool-implies lexicon (against
+# strings.ToLower; seed corpora always run as part of tier 1; this
+# explores beyond them).
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzINIParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzSSHDParse -fuzztime 10s
+	$(GO) test ./internal/conftypes -fuzz FuzzPortNumber -fuzztime 10s
 	$(GO) test ./internal/planio -fuzz FuzzPlanDecode -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzImageProbes -fuzztime 10s

@@ -10,7 +10,6 @@
 package assemble
 
 import (
-	"fmt"
 	"log/slog"
 	"strconv"
 	"strings"
@@ -86,6 +85,15 @@ func (a *Assembler) AddEnvAttr(e EnvAttr) {
 	a.envAttrs = append(a.envAttrs, e)
 }
 
+// permStrings holds the octal text ("0644") of every permission value,
+// so the permission augmenter formats nothing per value.
+var permStrings = func() (t [0o1000]string) {
+	for m := range t {
+		t[m] = "0" + strconv.FormatUint(uint64(m), 8)
+	}
+	return t
+}()
+
 func boolStr(b bool) string {
 	if b {
 		return "true"
@@ -119,7 +127,7 @@ func (a *Assembler) installDefaults() {
 		}},
 		{Suffix: "permission", Type: conftypes.TypePermission, Compute: func(v string, im *sysimage.Image) (string, bool) {
 			if fm := im.Resolve(v); fm != nil {
-				return fmt.Sprintf("0%o", fm.Mode&0o777), true
+				return permStrings[fm.Mode&0o777], true
 			}
 			return "", false
 		}},
@@ -183,15 +191,15 @@ func (a *Assembler) installDefaults() {
 	// PortNumber: registration and privilege level.
 	a.augmenters[conftypes.TypePortNumber] = []Augmenter{
 		{Suffix: "registered", Type: conftypes.TypeBoolean, Compute: func(v string, im *sysimage.Image) (string, bool) {
-			n, err := strconv.Atoi(v)
-			if err != nil {
+			n, ok := conftypes.Atoi(v)
+			if !ok {
 				return "", false
 			}
 			return boolStr(im.PortRegistered(n)), true
 		}},
 		{Suffix: "privileged", Type: conftypes.TypeBoolean, Compute: func(v string, _ *sysimage.Image) (string, bool) {
-			n, err := strconv.Atoi(v)
-			if err != nil {
+			n, ok := conftypes.Atoi(v)
+			if !ok {
 				return "", false
 			}
 			return boolStr(n < 1024), true

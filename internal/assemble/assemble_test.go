@@ -1,6 +1,7 @@
 package assemble
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -283,5 +284,28 @@ func TestCSVIntegration(t *testing.T) {
 	csv := d.CSV()
 	if !strings.Contains(csv, "mysql:mysqld/datadir") || !strings.Contains(csv, "/var/lib/mysql") {
 		t.Fatal("csv should include assembled data")
+	}
+}
+
+// TestPermissionAugmenterMatchesSprintf holds the permission augmenter's
+// table to the formatting it replaced, for all 512 permission values and
+// with the type and setuid bits above them set.
+func TestPermissionAugmenterMatchesSprintf(t *testing.T) {
+	var perm Augmenter
+	for _, aug := range New().augmenters[conftypes.TypeFilePath] {
+		if aug.Suffix == "permission" {
+			perm = aug
+		}
+	}
+	im := sysimage.New("perm")
+	im.AddRegular("/probe", "root", "root", 0, 1)
+	for m := uint32(0); m < 0o1000; m++ {
+		for _, high := range []uint32{0, 0o4000, 0o170000} {
+			im.Resolve("/probe").Mode = high | m
+			got, ok := perm.Compute("/probe", im)
+			if want := fmt.Sprintf("0%o", m); !ok || got != want {
+				t.Fatalf("mode %o: permission = %q, %v; want %q", high|m, got, ok, want)
+			}
+		}
 	}
 }

@@ -42,9 +42,29 @@ func oracleEntryValues(app string, e *confparse.Entry) []nameValue {
 	return out
 }
 
+// oracleImage pairs an image with its files parsed by confparse.Parse,
+// independent of the scratch the production path parses into.
+type oracleImage struct {
+	img   *sysimage.Image
+	files []*confparse.File
+}
+
+// oracleParse parses every configuration file of one image.
+func oracleParse(img *sysimage.Image) (oracleImage, error) {
+	pi := oracleImage{img: img}
+	for _, cf := range img.ConfigFiles {
+		f, err := confparse.Parse(cf.App, cf.Path, cf.Content)
+		if err != nil {
+			return oracleImage{}, fmt.Errorf("assemble: image %s: %w", img.ID, err)
+		}
+		pi.files = append(pi.files, f)
+	}
+	return pi, nil
+}
+
 // oraclePairs flattens one parsed image into its ordered (attribute,
 // value) stream.
-func oraclePairs(pi parsedImage) []nameValue {
+func oraclePairs(pi oracleImage) []nameValue {
 	var out []nameValue
 	for _, f := range pi.files {
 		for _, e := range f.Entries {
@@ -59,9 +79,9 @@ func oraclePairs(pi parsedImage) []nameValue {
 // build the dataset row by row, declaring augmented columns and refining
 // their types in place as they appear.
 func assembleTrainingSerial(a *Assembler, images []*sysimage.Image) (*dataset.Dataset, error) {
-	var parsed []parsedImage
+	var parsed []oracleImage
 	for _, img := range images {
-		pi, err := parseOne(img)
+		pi, err := oracleParse(img)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +116,7 @@ func assembleTrainingSerial(a *Assembler, images []*sysimage.Image) (*dataset.Da
 // oracleRow emits the original entries, the Table 5a augmented attributes,
 // and the Table 5b environment attributes of one image straight into the
 // dataset.
-func oracleRow(a *Assembler, d *dataset.Dataset, row *dataset.Row, pi parsedImage, types map[string]conftypes.Type) {
+func oracleRow(a *Assembler, d *dataset.Dataset, row *dataset.Row, pi oracleImage, types map[string]conftypes.Type) {
 	for _, f := range pi.files {
 		for _, e := range f.Entries {
 			for _, nv := range oracleEntryValues(f.App, e) {

@@ -16,24 +16,118 @@ import (
 	"repro/internal/telemetry"
 )
 
+// parsedFile is one parsed configuration file of an image.
+type parsedFile struct {
+	app     string
+	entries []confparse.Entry
+}
+
 // parsedImage pairs an image with its parsed configuration files.
 type parsedImage struct {
 	img   *sysimage.Image
-	files []*confparse.File
+	files []parsedFile
 }
 
-// parseOne parses every configuration file of a single image. Errors carry
-// the image ID (confparse adds the app and file path).
-func parseOne(img *sysimage.Image) (parsedImage, error) {
-	pi := parsedImage{img: img}
+// walkScratch is the state one assembly worker reuses image after image:
+// the config parser's scratch, the image's file list and the name buffer
+// of the walk. StreamTarget takes one from walkPool per call; training and
+// delta assembly hold one per pool worker while they parse.
+type walkScratch struct {
+	sc    confparse.Scratch
+	files []parsedFile
+	buf   []byte
+}
+
+var walkPool = sync.Pool{New: func() any { return &walkScratch{buf: make([]byte, 0, 96)} }}
+
+// Bounds on what a pooled walkScratch keeps, as for confparse.Scratch.
+const (
+	maxKeptFiles   = 64
+	maxKeptNameBuf = 1 << 12
+)
+
+// parse parses every configuration file of img into the scratch. The
+// files and their entries are valid until reset. Errors carry the image
+// ID (confparse adds the app and file path).
+func (ws *walkScratch) parse(img *sysimage.Image) ([]parsedFile, error) {
 	for _, cf := range img.ConfigFiles {
-		f, err := confparse.Parse(cf.App, cf.Path, cf.Content)
+		es, err := ws.sc.Parse(cf.App, cf.Path, cf.Content)
 		if err != nil {
-			return parsedImage{}, fmt.Errorf("assemble: image %s: %w", img.ID, err)
+			return nil, fmt.Errorf("assemble: image %s: %w", img.ID, err)
 		}
-		pi.files = append(pi.files, f)
+		ws.files = append(ws.files, parsedFile{app: cf.App, entries: es})
 	}
-	return pi, nil
+	return ws.files, nil
+}
+
+// reset drops every reference ws holds to the image it last parsed.
+func (ws *walkScratch) reset() {
+	ws.sc.Reset()
+	clear(ws.files)
+	ws.files = ws.files[:0]
+	if cap(ws.files) > maxKeptFiles {
+		ws.files = nil
+	}
+	if cap(ws.buf) > maxKeptNameBuf {
+		ws.buf = make([]byte, 0, 96)
+	}
+}
+
+// release resets ws and returns it to walkPool.
+func (ws *walkScratch) release() {
+	ws.reset()
+	walkPool.Put(ws)
+}
+
+// imageStore is one pool worker's parse state in training and delta
+// assembly. Every image it parses is copied out of the scratch into
+// storage carved from its arenas, so the parsed images stay valid through
+// both passes of the assembly call.
+type imageStore struct {
+	ws      *walkScratch
+	files   []parsedFile
+	entries []confparse.Entry
+	values  []string
+}
+
+// parse parses img into the worker's scratch and returns it with its
+// entries copied into the store.
+func (st *imageStore) parse(img *sysimage.Image) (parsedImage, error) {
+	files, err := st.ws.parse(img)
+	var pi parsedImage
+	if err == nil {
+		pi = parsedImage{img: img, files: st.keep(files)}
+	}
+	st.ws.reset()
+	return pi, err
+}
+
+// keep copies parsed files out of the scratch into storage carved from
+// the store's arenas.
+func (st *imageStore) keep(files []parsedFile) []parsedFile {
+	nEntries, nValues := 0, 0
+	for _, f := range files {
+		nEntries += len(f.entries)
+		for i := range f.entries {
+			nValues += len(f.entries[i].Values)
+		}
+	}
+	out := carve(&st.files, len(files))
+	entries := carve(&st.entries, nEntries)
+	values := carve(&st.values, nValues)
+	for i, f := range files {
+		es := entries[:len(f.entries):len(f.entries)]
+		entries = entries[len(f.entries):]
+		for j, e := range f.entries {
+			n := len(e.Values)
+			es[j] = e
+			es[j].Values = values[:n:n]
+			copy(es[j].Values, e.Values)
+			values = values[n:]
+		}
+		out[i] = parsedFile{app: f.app, entries: es}
+	}
+	return out
 }
 
 // workerCount resolves the assembler's pool size for n independent work
@@ -90,17 +184,28 @@ func forEachIndexed(n, workers int, fn func(i, worker int)) {
 func (a *Assembler) parseImages(images []*sysimage.Image, workers int, parent *telemetry.Span) ([]parsedImage, error) {
 	parsed := make([]parsedImage, len(images))
 	errs := make([]error, len(images))
+	stores := make([]*imageStore, workers)
 	forEachIndexed(len(images), workers, func(i, w int) {
+		st := stores[w]
+		if st == nil {
+			st = &imageStore{ws: walkPool.Get().(*walkScratch)}
+			stores[w] = st
+		}
 		sp := parent.StartChild("assemble.image",
 			telemetry.A("image", images[i].ID), telemetry.A("worker", strconv.Itoa(w)))
 		start := time.Now()
-		parsed[i], errs[i] = parseOne(images[i])
+		parsed[i], errs[i] = st.parse(images[i])
 		a.Telemetry.ObserveDur(telemetry.HistImageParse, time.Since(start))
 		sp.End()
 		if errs[i] != nil {
 			sp.Logger(a.Log).Warn("image parse failed", "image", images[i].ID, "err", errs[i])
 		}
 	})
+	for _, st := range stores {
+		if st != nil {
+			st.ws.release()
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -64,13 +64,14 @@ func appendEntryName(buf []byte, app string, e *confparse.Entry, argIdx, argCoun
 // grown) scratch buffer for the next name.
 func forEachEntry(buf []byte, pi parsedImage, fn func(name []byte, value string) []byte) []byte {
 	for _, f := range pi.files {
-		for _, e := range f.Entries {
+		for j := range f.entries {
+			e := &f.entries[j]
 			if len(e.Values) == 0 {
-				buf = fn(appendEntryName(buf[:0], f.App, e, 0, 1), "on")
+				buf = fn(appendEntryName(buf[:0], f.app, e, 0, 1), "on")
 				continue
 			}
 			for i, v := range e.Values {
-				buf = fn(appendEntryName(buf[:0], f.App, e, i, len(e.Values)), v)
+				buf = fn(appendEntryName(buf[:0], f.app, e, i, len(e.Values)), v)
 			}
 		}
 	}
@@ -83,16 +84,22 @@ func forEachEntry(buf []byte, pi parsedImage, fn func(name []byte, value string)
 // It is the per-image fast path of the compiled check plan
 // (internal/detect.Plan), and AssembleTarget is this stream collected
 // into a one-row dataset.
+//
+// The image is parsed into a pooled scratch that is reset before
+// StreamTarget returns, so sink must keep no Entry-derived slice; the
+// strings it receives alias the image's content or are its own.
 func (a *Assembler) StreamTarget(img *sysimage.Image, sink TargetSink) error {
 	start := time.Now()
-	pi, err := parseOne(img)
+	ws := walkPool.Get().(*walkScratch)
+	defer ws.release()
+	files, err := ws.parse(img)
 	a.Telemetry.ObserveDur(telemetry.HistImageParse, time.Since(start))
 	if err != nil {
 		return err
 	}
 	a.Telemetry.Add(telemetry.CounterImagesParsed, 1)
 	a.Telemetry.Add(telemetry.CounterFilesParsed, int64(len(img.ConfigFiles)))
-	a.stream(make([]byte, 0, 96), pi, sink)
+	ws.buf = a.stream(ws.buf, parsedImage{img: img, files: files}, sink)
 	return nil
 }
 

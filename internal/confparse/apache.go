@@ -17,11 +17,11 @@ func NewApacheDialect() *ApacheDialect { return &ApacheDialect{} }
 func (d *ApacheDialect) Name() string { return "apache" }
 
 // Parse implements Dialect.
-func (d *ApacheDialect) Parse(content string) ([]*Entry, error) {
-	var entries []*Entry
-	// stack holds the open section path elements; paths[i] is stack[:i+1]
-	// joined with '|', so an entry's section is one lookup, not a join.
-	var stack, paths []string
+func (d *ApacheDialect) Parse(content string) ([]*Entry, error) { return detach(d, content) }
+
+// parseInto is the Apache grammar, parsing content into s.
+func (d *ApacheDialect) parseInto(s *Scratch, content string) error {
+	s.stack = s.stack[:0]
 	section := ""
 	for lineNo, rest, more := 0, content, true; more; {
 		var raw string
@@ -34,64 +34,44 @@ func (d *ApacheDialect) Parse(content string) ([]*Entry, error) {
 		switch {
 		case strings.HasPrefix(line, "</"):
 			name := strings.TrimSuffix(strings.TrimPrefix(line, "</"), ">")
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("line %d: closing </%s> with no open section", lineNo, name)
+			if len(s.stack) == 0 {
+				return fmt.Errorf("line %d: closing </%s> with no open section", lineNo, name)
 			}
-			top := stack[len(stack)-1]
-			if !strings.EqualFold(sectionKind(top), name) {
-				return nil, fmt.Errorf("line %d: closing </%s> does not match open <%s>", lineNo, name, sectionKind(top))
+			top := s.stack[len(s.stack)-1]
+			if !strings.EqualFold(top.kind, name) {
+				return fmt.Errorf("line %d: closing </%s> does not match open <%s>", lineNo, name, top.kind)
 			}
-			stack, paths = stack[:len(stack)-1], paths[:len(paths)-1]
+			s.stack = s.stack[:len(s.stack)-1]
 			section = ""
-			if len(paths) > 0 {
-				section = paths[len(paths)-1]
+			if n := len(s.stack); n > 0 {
+				section = s.stack[n-1].path
 			}
 		case strings.HasPrefix(line, "<"):
 			if !strings.HasSuffix(line, ">") {
-				return nil, fmt.Errorf("line %d: unterminated section %q", lineNo, line)
+				return fmt.Errorf("line %d: unterminated section %q", lineNo, line)
 			}
 			inner := strings.TrimSuffix(strings.TrimPrefix(line, "<"), ">")
-			fields := splitArgs(inner)
-			if len(fields) == 0 {
-				return nil, fmt.Errorf("line %d: empty section", lineNo)
+			mark := s.splitArgs(inner)
+			if mark == len(s.values) {
+				return fmt.Errorf("line %d: empty section", lineNo)
 			}
 			// The section container itself is observable: emit a
 			// pseudo-entry carrying its arguments so rules can correlate
 			// against them (e.g. DocumentRoot with <Directory> paths).
-			entries = append(entries, &Entry{
-				Section:   section,
-				Key:       fields[0],
-				Values:    fields[1:],
-				Line:      lineNo,
-				IsSection: true,
-			})
-			elem := fields[0]
-			if len(fields) > 1 {
-				elem += ":" + strings.Join(fields[1:], ":")
-			}
-			if section != "" {
-				section += "|" + elem
-			} else {
-				section = elem
-			}
-			stack, paths = append(stack, elem), append(paths, section)
+			s.addLine(section, mark, lineNo, true)
+			kind := s.values[mark]
+			section = s.sectionPath(section, kind, s.values[mark+1:])
+			s.stack = append(s.stack, openSection{kind: sectionKind(kind), path: section})
 		default:
-			fields := splitArgs(line)
-			if len(fields) == 0 {
-				continue
+			if mark := s.splitArgs(line); mark < len(s.values) {
+				s.addLine(section, mark, lineNo, false)
 			}
-			entries = append(entries, &Entry{
-				Section: section,
-				Key:     fields[0],
-				Values:  fields[1:],
-				Line:    lineNo,
-			})
 		}
 	}
-	if len(stack) > 0 {
-		return nil, fmt.Errorf("unclosed section <%s>", sectionKind(stack[len(stack)-1]))
+	if len(s.stack) > 0 {
+		return fmt.Errorf("unclosed section <%s>", s.stack[len(s.stack)-1].kind)
 	}
-	return entries, nil
+	return nil
 }
 
 // Render implements Dialect. Entries are emitted in order, opening and
@@ -159,7 +139,7 @@ func splitSection(s string) []string {
 // sectionKind returns the container kind of a section path element
 // ("Directory:/var/www" -> "Directory").
 func sectionKind(elem string) string {
-	kind, _ := sectionKindArg(elem)
+	kind, _, _ := strings.Cut(elem, ":")
 	return kind
 }
 
@@ -189,62 +169,6 @@ func stripComment(line, marker string) string {
 		}
 	}
 	return line
-}
-
-// splitArgs tokenizes a directive line, honoring double- and single-quoted
-// arguments. An argument that is one contiguous span of line — unquoted,
-// or a single quoted run — is returned as a substring of line; only an
-// argument splicing quoted and unquoted parts ("a"b) is copied.
-func splitArgs(line string) []string {
-	var args []string
-	for i := 0; i < len(line); {
-		if line[i] == ' ' || line[i] == '\t' {
-			i++
-			continue
-		}
-		var arg string
-		arg, i = scanArg(line, i)
-		if arg != "" {
-			args = append(args, arg)
-		}
-	}
-	return args
-}
-
-// scanArg reads the argument starting at line[i] and returns it with the
-// index of the blank (or end of line) that ends it. [lo, hi) is the
-// current contiguous run of argument bytes; spliced collects the runs
-// before it once a quote character has interrupted one.
-func scanArg(line string, i int) (string, int) {
-	var spliced []byte
-	lo, hi := i, i
-	inQuote := byte(0)
-	for ; i < len(line); i++ {
-		c := line[i]
-		if inQuote != 0 {
-			if c == inQuote {
-				inQuote = 0
-				continue
-			}
-		} else if c == '"' || c == '\'' {
-			inQuote = c
-			continue
-		} else if c == ' ' || c == '\t' {
-			break
-		}
-		if i == hi {
-			hi++
-			continue
-		}
-		if hi > lo {
-			spliced = append(spliced, line[lo:hi]...)
-		}
-		lo, hi = i, i+1
-	}
-	if spliced == nil {
-		return line[lo:hi], i
-	}
-	return string(append(spliced, line[lo:hi]...)), i
 }
 
 // quoteArgs re-quotes arguments containing whitespace.

@@ -11,14 +11,20 @@
 // line so that (a) the assembler can build stable attribute names like
 // "mysqld/datadir" or "LoadModule/arg2", and (b) the error injector can
 // mutate entries and render a faithful file back.
+//
+// Each built-in dialect has one grammar, which parses into a Scratch. The
+// scan and learn paths parse every file of every image through a reused
+// per-worker Scratch and allocate nothing per entry; Parse and
+// Dialect.Parse wrap the same grammar for callers that keep and mutate
+// entries (the error injector, the corpus, Render). Keys and values are
+// substrings of the parsed content, never copies, so kept entries pin the
+// content they came from.
 package confparse
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/intern"
 )
 
 // Entry is one configuration setting: a key with one or more positional
@@ -100,11 +106,9 @@ func ForApp(app string) (Dialect, error) {
 	return d, nil
 }
 
-// Parse parses content using the dialect registered for app. Entry keys
-// and section paths are interned: dialects return them as substrings of
-// content, so canonicalizing here both deduplicates the (small, endlessly
-// repeated) key vocabulary across a corpus and stops retained entries
-// from pinning whole file contents.
+// Parse parses content using the dialect registered for app into a File
+// the caller owns: it allocates every entry, for callers that keep or
+// mutate them. Hot paths parse through a reused Scratch instead.
 func Parse(app, path, content string) (*File, error) {
 	d, err := ForApp(app)
 	if err != nil {
@@ -113,10 +117,6 @@ func Parse(app, path, content string) (*File, error) {
 	entries, err := d.Parse(content)
 	if err != nil {
 		return nil, fmt.Errorf("confparse: %s (%s): %w", app, path, err)
-	}
-	for _, e := range entries {
-		e.Key = intern.String(e.Key)
-		e.Section = intern.String(e.Section)
 	}
 	return &File{App: app, Path: path, Entries: entries}, nil
 }

@@ -315,6 +315,8 @@ func TestEntryName(t *testing.T) {
 }
 
 func TestSplitArgsQuotes(t *testing.T) {
+	var s Scratch
+	splitArgs := func(line string) []string { return s.values[s.splitArgs(line):] }
 	got := splitArgs(`Alias /icons/ "/var/www/icons/"`)
 	want := []string{"Alias", "/icons/", "/var/www/icons/"}
 	if !reflect.DeepEqual(got, want) {

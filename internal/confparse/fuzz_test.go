@@ -13,15 +13,32 @@ var oracles = map[string]func(string) ([]*Entry, error){
 	"sshd":   oracleSSHDParse,
 }
 
+// failing holds, per fuzzed app, an input that fails after entries and a
+// section path have been parsed, so the reused scratch starts the run
+// having rolled a failed parse back.
+var failing = map[string]string{
+	"apache": "<VirtualHost *:80>\nListen 80\n",
+	"mysql":  "[mysqld]\nport = 3306\n[unterminated\n",
+	"sshd":   "Match User git\nPort 22\nMatch\n",
+}
+
 // fuzzDialect is the shared fuzz body: parsing arbitrary content must
 // never panic and must agree with the app's oracle parser — the same
 // entries (Section, Key, Values, Line, IsSection) or the same error text —
 // a parse error must carry the app and file context the assembler relies
 // on for fault isolation, and a successful parse must render and re-parse
 // without panicking.
+//
+// Every input is also parsed, twice back to back, into one Scratch reused
+// across the whole run (warmed by the seeds and a failing input), the way
+// a scan worker parses an image's files: both results must match the
+// oracle, the first still intact after the second was appended.
 func fuzzDialect(f *testing.F, app string, seeds []string) {
-	for _, s := range seeds {
+	var sc Scratch
+	for _, s := range append(seeds, failing[app]) {
 		f.Add(s)
+		sc.Reset()
+		_, _ = sc.Parse(app, "fuzz.conf", s)
 	}
 	f.Fuzz(func(t *testing.T, content string) {
 		d, err := ForApp(app)
@@ -35,6 +52,20 @@ func fuzzDialect(f *testing.F, app string, seeds []string) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("entries differ from the oracle\ngot:    %s\noracle: %s", dumpEntries(got), dumpEntries(want))
+		}
+		sc.Reset()
+		first, firstErr := sc.Parse(app, "fuzz.conf", content)
+		second, secondErr := sc.Parse(app, "fuzz.conf", content)
+		for _, r := range []struct {
+			entries []Entry
+			err     error
+		}{{first, firstErr}, {second, secondErr}} {
+			if (r.err == nil) != (wantErr == nil) || (r.err != nil && r.err.Error() != "confparse: "+app+" (fuzz.conf): "+wantErr.Error()) {
+				t.Fatalf("scratch error %v, oracle %v", r.err, wantErr)
+			}
+			if !reflect.DeepEqual(pointers(r.entries), want) {
+				t.Fatalf("scratch entries differ from the oracle\ngot:    %s\noracle: %s", dumpEntries(pointers(r.entries)), dumpEntries(want))
+			}
 		}
 		file, err := Parse(app, "fuzz.conf", content)
 		if err != nil {
@@ -52,6 +83,15 @@ func fuzzDialect(f *testing.F, app string, seeds []string) {
 		// round-trip, adversarial ones may legitimately re-fail.
 		_, _ = Parse(app, "fuzz.conf", rendered)
 	})
+}
+
+// pointers returns scratch entries in Dialect.Parse's form: nil for none.
+func pointers(es []Entry) []*Entry {
+	var out []*Entry
+	for i := range es {
+		out = append(out, &es[i])
+	}
+	return out
 }
 
 // dumpEntries renders entries for a failure message.

@@ -25,8 +25,10 @@ func NewINIDialect(markers ...string) *INIDialect {
 func (d *INIDialect) Name() string { return "ini" }
 
 // Parse implements Dialect.
-func (d *INIDialect) Parse(content string) ([]*Entry, error) {
-	var entries []*Entry
+func (d *INIDialect) Parse(content string) ([]*Entry, error) { return detach(d, content) }
+
+// parseInto is the INI grammar, parsing content into s.
+func (d *INIDialect) parseInto(s *Scratch, content string) error {
 	section := ""
 	for lineNo, rest, more := 0, content, true; more; {
 		var line string
@@ -41,26 +43,26 @@ func (d *INIDialect) Parse(content string) ([]*Entry, error) {
 		}
 		if strings.HasPrefix(line, "[") {
 			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("line %d: unterminated section header %q", lineNo, line)
+				return fmt.Errorf("line %d: unterminated section header %q", lineNo, line)
 			}
 			section = strings.TrimSpace(line[1 : len(line)-1])
 			if section == "" {
-				return nil, fmt.Errorf("line %d: empty section header", lineNo)
+				return fmt.Errorf("line %d: empty section header", lineNo)
 			}
 			continue
 		}
 		key, value, hasValue := strings.Cut(line, "=")
 		key = strings.TrimSpace(key)
 		if key == "" {
-			return nil, fmt.Errorf("line %d: missing key", lineNo)
+			return fmt.Errorf("line %d: missing key", lineNo)
 		}
-		e := &Entry{Section: section, Key: key, Line: lineNo}
 		if hasValue {
-			e.Values = []string{unquote(strings.TrimSpace(value))}
+			s.addValue(section, key, unquote(strings.TrimSpace(value)), lineNo)
+		} else {
+			s.entries = append(s.entries, Entry{Section: section, Key: key, Line: lineNo})
 		}
-		entries = append(entries, e)
 	}
-	return entries, nil
+	return nil
 }
 
 // Render implements Dialect, grouping entries under section headers in

@@ -17,8 +17,10 @@ func NewSSHDDialect() *SSHDDialect { return &SSHDDialect{} }
 func (d *SSHDDialect) Name() string { return "sshd" }
 
 // Parse implements Dialect.
-func (d *SSHDDialect) Parse(content string) ([]*Entry, error) {
-	var entries []*Entry
+func (d *SSHDDialect) Parse(content string) ([]*Entry, error) { return detach(d, content) }
+
+// parseInto is the sshd_config grammar, parsing content into s.
+func (d *SSHDDialect) parseInto(s *Scratch, content string) error {
 	section := ""
 	for lineNo, rest, more := 0, content, true; more; {
 		var raw string
@@ -28,25 +30,21 @@ func (d *SSHDDialect) Parse(content string) ([]*Entry, error) {
 		if line == "" {
 			continue
 		}
-		fields := splitArgs(line)
-		if len(fields) == 0 {
+		mark := s.splitArgs(line)
+		if mark == len(s.values) {
 			continue
 		}
-		if strings.EqualFold(fields[0], "Match") {
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("line %d: Match with no criteria", lineNo)
+		if strings.EqualFold(s.values[mark], "Match") {
+			if len(s.values)-mark < 2 {
+				return fmt.Errorf("line %d: Match with no criteria", lineNo)
 			}
-			section = "Match:" + strings.Join(fields[1:], ":")
+			section = s.sectionPath("", "Match", s.values[mark+1:])
+			s.dropArgs(mark)
 			continue
 		}
-		entries = append(entries, &Entry{
-			Section: section,
-			Key:     fields[0],
-			Values:  fields[1:],
-			Line:    lineNo,
-		})
+		s.addLine(section, mark, lineNo, false)
 	}
-	return entries, nil
+	return nil
 }
 
 // Render implements Dialect.

@@ -91,6 +91,28 @@ func isAbsPath(v string) bool {
 	return true
 }
 
+// Atoi is strconv.Atoi reporting success as a bool; the number is
+// meaningful only when ok. A string that is not an optional sign followed
+// by one or more ASCII digits, which Atoi always rejects, is turned away
+// before Atoi would allocate an error to say so: type inference asks
+// this of every value it reaches.
+func Atoi(v string) (int, bool) {
+	digits := v
+	if digits != "" && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if digits == "" {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(v)
+	return n, err == nil
+}
+
 // booleanLexicon is the value set that marks Boolean entries. It includes
 // "0"/"1", which — exactly as in the paper — makes integer entries whose
 // training values happen to all be 0 or 1 infer as Boolean (a measured
@@ -186,8 +208,8 @@ func Predefined() []*Def {
 		{
 			Name: TypePortNumber,
 			Match: func(v string) bool {
-				n, err := strconv.Atoi(v)
-				return err == nil && n > 0 && n <= 65535
+				n, ok := Atoi(v)
+				return ok && n > 0 && n <= 65535
 			},
 			Verify: func(v string, img *sysimage.Image) bool {
 				if img == nil {

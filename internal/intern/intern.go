@@ -1,12 +1,12 @@
 // Package intern provides a bounded, process-wide string interning table.
 //
 // A scanned corpus repeats the same short strings endlessly: every image
-// carries the same owners, groups, shells, application names, and
-// configuration keys. Interning collapses those duplicates to one
-// canonical copy each, which (a) lets per-image decode garbage die young,
-// and (b) releases substring-backed strings (a parsed key is a slice of
-// the whole file's content) so retained entries do not pin their source
-// buffers.
+// carries the same owners, groups, shells, application names, and config
+// file paths. Interning collapses those duplicates to one canonical copy
+// each, which (a) lets per-image decode garbage die young, and (b) gives
+// strings decoded out of a reused buffer storage of their own. Parsed
+// configuration keys are not interned: they alias the file content, as
+// the values beside them do.
 //
 // The table only ever grows to MaxEntries canonical strings; past that,
 // lookups still deduplicate against existing entries but misses pass
