@@ -4,11 +4,23 @@ GO ?= go
 # the encore_build_info metric). Falls back to "dev" outside a git clone.
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 
-.PHONY: tier1 tier2 smoke serve-smoke fleet-smoke perfbench-smoke eval-matrix eval-matrix-smoke build bench bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet bench-learn bench-all bench-smoke fuzz fmt
+.PHONY: loc tier1 tier2 smoke serve-smoke fleet-smoke perfbench-smoke eval-matrix eval-matrix-smoke build bench bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet bench-learn bench-all bench-smoke fuzz fmt
 
 # Stamped CLI binary: bin/encore reports $(VERSION) via `encore version`.
 build:
 	$(GO) build -ldflags "-X main.version=$(VERSION)" -o bin/encore ./cmd/encore
+
+# Line ledger: line counts of the tracked Go files — production code,
+# tests, and the perfbench/ module — written to the checked-in LOC.json.
+# CI fails when a change leaves the file stale, so every change states its
+# line delta the way the BENCH records state its ns/op.
+loc:
+	@go_lines() { xargs cat | wc -l; }; \
+	nontest=$$(git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test\.go$$' | go_lines); \
+	tests=$$(git ls-files '*.go' | grep -v '^perfbench/' | grep '_test\.go$$' | go_lines); \
+	perf=$$(git ls-files 'perfbench/*.go' | go_lines); \
+	printf '{\n  "nonTest": %d,\n  "test": %d,\n  "perfbench": %d\n}\n' $$nontest $$tests $$perf > LOC.json
+	@cat LOC.json
 
 # Tier 1: the gate every change must keep green — build + full test suite.
 tier1:

@@ -1,10 +1,13 @@
 package encore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/scan"
 	"repro/internal/sysimage"
+	"repro/internal/telemetry"
 )
 
 // Allocation ceilings for the per-image hot path. Measured steady-state
@@ -35,6 +38,14 @@ const (
 	// when each row was recorded as an op log and replayed); the ceiling
 	// leaves ~2x headroom.
 	maxLearnAllocsPerImage = 130
+	// The batch engine's own allocations per image on top of Plan.Check:
+	// a warmed one-shard run over 200 resident images with a recorder
+	// measured 0.11 (the run's goroutines, spans and deques amortized;
+	// nothing per image). Under -race, the two measurements rebuild
+	// different numbers of pool-dropped scratches: the difference read
+	// -0.5 to +0.6.
+	maxFleetAllocsPerImage     = 1
+	maxFleetAllocsPerImageRace = 3
 )
 
 // TestPlanCheckAllocCeiling pins the steady-state allocation count of one
@@ -152,4 +163,54 @@ func TestLearnAllocCeiling(t *testing.T) {
 		t.Errorf("learn allocated %.1f objects per training image; ceiling is %d", perImage, maxLearnAllocsPerImage)
 	}
 	t.Logf("learn: %.1f allocations per training image", perImage)
+}
+
+// TestFleetAllocCeiling pins what the batch engine adds to Plan.Check per
+// image: no allocation, lock, goroutine or span per image, so a run's
+// allocations beyond the checks' own stay under one per image.
+func TestFleetAllocCeiling(t *testing.T) {
+	training, err := corpus.Training("mysql", 30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := New()
+	k, err := fw.Learn(training)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := fw.CompilePlan(k)
+	targets, err := corpus.Training("mysql", 200, 1009)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAll := func() {
+		for _, img := range targets {
+			if _, err := plan.Check(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng := fw.ScanEngine(plan)
+	eng.Opts.Shards = 1
+	eng.Opts.Telemetry = telemetry.New()
+	src := &ImageSource{Images: targets}
+	run := func() {
+		if _, err := eng.Run(context.Background(), src, func(int, scan.Item) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkAll() // warm the scratch pools and the target-name interner
+	run()
+	n := float64(len(targets))
+	checks := testing.AllocsPerRun(5, checkAll) / n
+	runs := testing.AllocsPerRun(5, run) / n
+	ceiling := float64(maxFleetAllocsPerImage)
+	if raceBuild {
+		ceiling = maxFleetAllocsPerImageRace
+	}
+	t.Logf("per image: Plan.Check %.2f allocs, engine run %.2f", checks, runs)
+	if runs > checks+ceiling {
+		t.Errorf("engine run allocated %.2f objects per image, Plan.Check alone %.2f; ceiling is %.0f more",
+			runs, checks, ceiling)
+	}
 }

@@ -572,42 +572,18 @@ func benchScanFleet(b *testing.B) (*Framework, *Knowledge, []*Image) {
 	return fw, k, targets
 }
 
-// BenchmarkBatchScanWorkers1 / NumCPU measure the batch scan engine at
-// pool sizes 1 and NumCPU over the same fleet.
-func BenchmarkBatchScanWorkers1(b *testing.B) {
-	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k)
-	eng.Workers = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Scan(targets); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBatchScanWorkersNumCPU(b *testing.B) {
-	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k) // Workers 0 = NumCPU
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Scan(targets); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBatchScanWorkers records the worker-scaling surface of the
-// batch scan: one sub-benchmark per (corpus size, pool size) point. The
-// corpus-size axis exists because a 32-image fleet finishes too fast for
-// the workers axis to discriminate (its 1-worker and NumCPU-worker points
-// used to report identical ns/op); the 1k and 10k points replicate the
-// loaded images by pointer — Plan.Check is read-only — so task count
-// scales without corpus memory, and parallel speedup (or a regression in
-// it) is visible in ns/image.
+// batch scan engine with one shard, as `encore scan` runs it by default:
+// one sub-benchmark per (corpus size, pool size) point. The corpus-size
+// axis exists because a 32-image fleet finishes too fast for the workers
+// axis to discriminate; the 1k and 10k points replicate the loaded images
+// by pointer — Plan.Check is read-only — so task count scales without
+// corpus memory, and parallel speedup (or a regression in it) is visible
+// in ns/image.
 func BenchmarkBatchScanWorkers(b *testing.B) {
 	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k)
+	eng := fw.ScanEngine(fw.CompilePlan(k))
+	eng.Opts.Shards = 1
 	axis := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
 		axis = append(axis, n)
@@ -619,10 +595,11 @@ func BenchmarkBatchScanWorkers(b *testing.B) {
 		}
 		for _, w := range axis {
 			b.Run(fmt.Sprintf("images=%d/workers=%d", size, w), func(b *testing.B) {
-				eng.Workers = w
+				eng.Opts.Workers = w
+				src := &ImageSource{Images: images}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.Scan(images); err != nil {
+					if _, _, err := eng.Collect(context.Background(), src); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -640,7 +617,7 @@ func BenchmarkBatchScanWorkers(b *testing.B) {
 // 10k point — and the steal rate.
 func BenchmarkFleetScan(b *testing.B) {
 	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k)
+	plan := fw.CompilePlan(k)
 	for _, size := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("images=%d", size), func(b *testing.B) {
 			src, err := fleet.NewSyntheticSource(targets[:4], size)
@@ -653,7 +630,7 @@ func BenchmarkFleetScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := telemetry.NewSampler(2*time.Millisecond, 1<<15)
 				s.Start()
-				coord := &fleet.Coordinator{Opts: fleet.Options{Check: eng.Check, Shards: 4}}
+				coord := &fleet.Coordinator{Opts: fleet.Options{Check: plan.Check, Shards: 4}}
 				stats, err := coord.Run(context.Background(), src, func(int, scan.Item) {})
 				s.Stop()
 				if err != nil {

@@ -21,9 +21,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
-
 	"sync"
+	"time"
 
 	encore "repro"
 	"repro/internal/alert"
@@ -250,23 +249,9 @@ func runCompile(args []string) (err error) {
 			err = ferr
 		}
 	}()
-	var plan *encore.Plan
-	if *profileIn != "" {
-		pdata, err := os.ReadFile(*profileIn)
-		if err != nil {
-			return err
-		}
-		p, err := encore.LoadProfile(pdata)
-		if err != nil {
-			return err
-		}
-		plan = fw.CompilePlanFromProfile(p)
-	} else {
-		k, err := learn(fw, *training)
-		if err != nil {
-			return err
-		}
-		plan = fw.CompilePlan(k)
+	plan, _, err := knowledgePlan(fw, *training, *profileIn, "")
+	if err != nil {
+		return err
 	}
 	data := fw.MarshalPlan(plan)
 	if err := os.WriteFile(*planOut, data, 0o644); err != nil {
@@ -284,6 +269,33 @@ func loadPlanFile(fw *encore.Framework, path string) (*encore.Plan, error) {
 		return nil, err
 	}
 	return fw.LoadPlan(data)
+}
+
+// knowledgePlan builds the check plan named by whichever one of
+// -training, -profile and -plan is set, and returns it with the
+// provenance stamped on alerts ("plan:mysql.plan", ...).
+func knowledgePlan(fw *encore.Framework, training, profileIn, planIn string) (*encore.Plan, string, error) {
+	switch {
+	case planIn != "":
+		plan, err := loadPlanFile(fw, planIn)
+		return plan, "plan:" + filepath.Base(planIn), err
+	case profileIn != "":
+		data, err := os.ReadFile(profileIn)
+		if err != nil {
+			return nil, "", err
+		}
+		p, err := encore.LoadProfile(data)
+		if err != nil {
+			return nil, "", err
+		}
+		return fw.CompilePlanFromProfile(p), "profile:" + filepath.Base(profileIn), nil
+	default:
+		k, err := learn(fw, training)
+		if err != nil {
+			return nil, "", err
+		}
+		return fw.CompilePlan(k), "training:" + filepath.Base(training), nil
+	}
 }
 
 func runCheck(args []string) (err error) {
@@ -392,10 +404,16 @@ func runCheck(args []string) (err error) {
 	return nil
 }
 
-// runScan checks every image in a directory through the batch scan engine
-// and prints a fleet summary: per-image warning counts by kind, isolated
-// per-image failures, then the attributes flagged most often across the
-// fleet.
+// maxPrintedFailures bounds the FAILED lines a scan prints: an error
+// storm (a corrupt mirror, a bad mount) can fail every image of a 100k
+// walk, and the first thousand failures are enough to diagnose it. The
+// summary still counts every failure.
+const maxPrintedFailures = 1000
+
+// runScan checks every image in a directory (or a synthetic fleet cycling
+// it) through the batch scan engine and prints a fleet summary: per-image
+// warning counts by kind, isolated per-image failures, then the
+// attributes flagged most often across the fleet.
 func runScan(args []string) (err error) {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	training := fs.String("training", "", "directory of training image JSON files")
@@ -406,8 +424,8 @@ func runScan(args []string) (err error) {
 	customFile := fs.String("custom", "", "customization file")
 	strict := fs.Bool("strict", false, "abort the batch on the first failing image instead of isolating it")
 	workers := fs.Int("workers", 0, "scan worker pool size (0 = NumCPU)")
-	shards := fs.Int("shards", 0, "scan -targets through the sharded fleet coordinator with this many shards (0 = unsharded engine)")
-	fleetSize := fs.Int("fleet", 0, "scan a synthetic fleet of this many images cycling the -targets corpus (implies the fleet coordinator)")
+	shards := fs.Int("shards", 0, "split -targets into this many shards, each with its own queue and discovery (0 = one shard)")
+	fleetSize := fs.Int("fleet", 0, "scan a synthetic fleet of this many images cycling the -targets corpus")
 	progress := fs.Bool("progress", false, "report periodic batch progress (done/total, findings, ETA) on stderr")
 	progressEvery := fs.Duration("progress-every", 2*time.Second, "progress reporting interval")
 	alertsFile := fs.String("alerts", "", "alerting policy YAML; findings fan out to its notifiers (see examples/alerts.yaml)")
@@ -418,11 +436,10 @@ func runScan(args []string) (err error) {
 	if !exactlyOne(*training, *profileIn, *planIn) || *targets == "" {
 		return fmt.Errorf("scan: -targets and exactly one of -training / -profile / -plan are required")
 	}
-	fleetMode := *shards > 0 || *fleetSize > 0
-	if fleetMode && *strict {
-		// Strict mode's contract is "first failure in input order aborts the
-		// batch"; the coordinator processes out of order by design, so
-		// honoring that ordering would serialize the fleet.
+	if (*shards > 0 || *fleetSize > 0) && *strict {
+		// Strict mode's contract is "the first failure in input order
+		// fails the batch"; shards start their images out of input order,
+		// so a sharded batch could stop on a later image than that.
 		return fmt.Errorf("scan: -strict cannot be combined with -shards/-fleet")
 	}
 	fw, err := newFramework(*customFile)
@@ -438,37 +455,26 @@ func runScan(args []string) (err error) {
 			err = ferr
 		}
 	}()
-	var eng *scan.Engine
-	var planVersion string
-	if *planIn != "" {
-		plan, err := loadPlanFile(fw, *planIn)
-		if err != nil {
-			return err
-		}
-		eng = fw.ScanEngineWithPlan(plan)
-		planVersion = "plan:" + filepath.Base(*planIn)
-	} else if *profileIn != "" {
-		data, err := os.ReadFile(*profileIn)
-		if err != nil {
-			return err
-		}
-		p, err := encore.LoadProfile(data)
-		if err != nil {
-			return err
-		}
-		eng = fw.ScanEngineWithProfile(p)
-		planVersion = "profile:" + filepath.Base(*profileIn)
-	} else {
-		k, err := learn(fw, *training)
-		if err != nil {
-			return err
-		}
-		eng = fw.ScanEngine(k)
-		planVersion = "training:" + filepath.Base(*training)
+	plan, planVersion, err := knowledgePlan(fw, *training, *profileIn, *planIn)
+	if err != nil {
+		return err
 	}
-	eng.Strict = *strict
-	eng.Workers = *workers
-	eng.Log = obs.Log
+	var src fleet.Source
+	if *fleetSize > 0 {
+		imgs, err := sysimage.LoadDir(*targets)
+		if err != nil {
+			return err
+		}
+		if src, err = fleet.NewSyntheticSource(imgs, *fleetSize); err != nil {
+			return err
+		}
+	} else if src, err = fleet.NewDirSource(*targets); err != nil {
+		return err
+	}
+	eng := fw.ScanEngine(plan)
+	eng.Opts.Shards = max(*shards, 1)
+	eng.Opts.Workers = *workers
+	eng.Opts.Strict = *strict
 	var alerts *alert.Pipeline
 	if *alertsFile != "" {
 		policy, err := alert.LoadPolicyFile(*alertsFile)
@@ -479,41 +485,46 @@ func runScan(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		// Drain on every exit path; the explicit Shutdown after ScanDir
+		// Drain on every exit path; the explicit Shutdown after the run
 		// makes this a no-op on the happy path. Registered after the
 		// finish() defer so it runs first and the final snapshot sees
 		// every delivery outcome.
 		defer alerts.Shutdown(context.Background())
-		eng.Alerts = alerts
-		eng.PlanVersion = planVersion
+		eng.Opts.Alerts = alerts
+		eng.Opts.PlanVersion = planVersion
 	}
 	if *progress || obs.Serving() {
-		// The reporter needs the batch size up front; count the target
-		// files the same way ScanDir will (synthetic fleets know theirs).
 		// A live -serve run gets a silent reporter even without -progress,
 		// so the runtime sampler can expose encore_progress_done/_total on
 		// /metrics.
-		total := *fleetSize
-		if total == 0 {
-			total, err = countTargets(*targets)
-			if err != nil {
-				return err
-			}
-		}
 		w := io.Writer(os.Stderr)
 		if !*progress {
 			w = io.Discard
 		}
-		p := telemetry.NewProgress(w, "scan", total, *progressEvery)
-		eng.Progress = p
+		p := telemetry.NewProgress(w, "scan", src.Len(), *progressEvery)
+		eng.Opts.Progress = p
 		obs.SetProgress(p)
 		defer p.Stop()
 	}
 
-	if fleetMode {
-		return runFleetScan(eng, obs.Rec, alerts, *targets, *fleetSize, *shards, *minWarnings, planVersion)
-	}
-	result, err := eng.ScanDir(*targets)
+	// Outcomes arrive out of order; the sink keeps each printed item's
+	// lines by input index and the report prints them in that order.
+	var (
+		mu    sync.Mutex
+		lines = map[int][]string{}
+		sum   scan.Summary
+	)
+	stats, err := eng.Run(context.Background(), src, func(idx int, it scan.Item) {
+		mu.Lock()
+		defer mu.Unlock()
+		sum.Observe(it, *minWarnings)
+		if it.Err != nil && sum.Errors > maxPrintedFailures {
+			return // counted in the summary, not printed
+		}
+		if ls := itemLines(it, *minWarnings); len(ls) != 0 {
+			lines[idx] = ls
+		}
+	})
 	if err != nil {
 		return err
 	}
@@ -522,20 +533,31 @@ func runScan(args []string) (err error) {
 	if err := alerts.Shutdown(context.Background()); err != nil {
 		return err
 	}
-	for _, it := range result.Items {
-		for _, ln := range itemLines(it, *minWarnings) {
+	idxs := make([]int, 0, len(lines))
+	for i := range lines {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	for _, i := range idxs {
+		for _, ln := range lines[i] {
 			fmt.Println(ln)
 		}
 	}
-	printScanSummary(result.Summarize(*minWarnings), alerts)
+	if d := sum.Errors - maxPrintedFailures; d > 0 {
+		fmt.Printf("%-28s ... and %d more failures (retention cap %d)\n", "", d, maxPrintedFailures)
+	}
+	sum.Finish()
+	printScanSummary(sum, alerts)
+	// The topology note goes to stderr, so stdout is the same report at
+	// every shard and worker count.
+	fmt.Fprintf(os.Stderr, "fleet: %d shards, %d workers, %d steals, %s high water\n",
+		stats.Shards, stats.Workers, stats.Steals, formatBytes(stats.HighWaterBytes))
 	return nil
 }
 
 // itemLines renders the per-image output block for one scan outcome:
 // failures get their FAILED line, flagged images the warning-count line
 // plus the top finding, healthy images below the floor render nothing.
-// Both the unsharded and fleet scan paths print through this renderer, so
-// their output cannot diverge.
 func itemLines(it scan.Item, minWarnings int) []string {
 	if it.Err != nil {
 		name := it.Err.ImageID
@@ -559,7 +581,7 @@ func itemLines(it scan.Item, minWarnings int) []string {
 	return lines
 }
 
-// printScanSummary prints the fleet-wide footer shared by both scan paths.
+// printScanSummary prints the fleet-wide footer.
 func printScanSummary(sum scan.Summary, alerts *alert.Pipeline) {
 	if sum.Errors > 0 {
 		fmt.Printf("\nscanned %d images: %d flagged, %d warnings total, %d failed\n",
@@ -584,87 +606,6 @@ func printScanSummary(sum scan.Summary, alerts *alert.Pipeline) {
 	}
 }
 
-// runFleetScan drives the sharded coordinator over the target corpus (or
-// a synthetic fleet cycling it) and reproduces runScan's output byte for
-// byte: outcomes are keyed by global input index and printed in canonical
-// order, the summary accumulates incrementally, and error retention is
-// bounded by scan.ErrorLog so a fleet-wide error storm stays at constant
-// memory.
-func runFleetScan(eng *scan.Engine, rec *telemetry.Recorder, alerts *alert.Pipeline, targets string, fleetSize, shards, minWarnings int, planVersion string) error {
-	var src fleet.Source
-	if fleetSize > 0 {
-		imgs, err := sysimage.LoadDir(targets)
-		if err != nil {
-			return err
-		}
-		src, err = fleet.NewSyntheticSource(imgs, fleetSize)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		src, err = fleet.NewDirSource(targets)
-		if err != nil {
-			return err
-		}
-	}
-	var (
-		mu    sync.Mutex
-		lines = map[int][]string{}
-		sum   scan.Summary
-		errs  scan.ErrorLog
-	)
-	coord := &fleet.Coordinator{Opts: fleet.Options{
-		Check:       eng.Check,
-		Shards:      shards,
-		Workers:     eng.Workers,
-		Telemetry:   rec,
-		Log:         eng.Log,
-		Progress:    eng.Progress,
-		Alerts:      alerts,
-		PlanVersion: planVersion,
-	}}
-	stats, err := coord.Run(context.Background(), src, func(idx int, it scan.Item) {
-		mu.Lock()
-		defer mu.Unlock()
-		sum.Observe(it, minWarnings)
-		if it.Err != nil && !errs.Add(it.Err) {
-			return // past the retention cap: counted above, not printed
-		}
-		if ls := itemLines(it, minWarnings); len(ls) != 0 {
-			lines[idx] = ls
-		}
-	})
-	if err != nil {
-		return err
-	}
-	// Deliver every queued alert before the fleet summary prints, so the
-	// stats line below is final.
-	if err := alerts.Shutdown(context.Background()); err != nil {
-		return err
-	}
-	idxs := make([]int, 0, len(lines))
-	for i := range lines {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		for _, ln := range lines[i] {
-			fmt.Println(ln)
-		}
-	}
-	if d := errs.Dropped(); d > 0 {
-		fmt.Printf("%-28s ... and %d more failures (retention cap %d)\n", "", d, scan.DefaultMaxErrors)
-	}
-	sum.Finish()
-	printScanSummary(sum, alerts)
-	// Topology note goes to stderr: stdout must stay byte-identical to the
-	// unsharded engine's report.
-	fmt.Fprintf(os.Stderr, "fleet: %d shards, %d workers, %d steals, %s high water\n",
-		stats.Shards, stats.Workers, stats.Steals, formatBytes(stats.HighWaterBytes))
-	return nil
-}
-
 // formatBytes renders a byte count with a binary unit suffix.
 func formatBytes(n int64) string {
 	switch {
@@ -675,21 +616,6 @@ func formatBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// countTargets counts the "*.json" images ScanDir will pick up in dir.
-func countTargets(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, ent := range entries {
-		if !ent.IsDir() && strings.HasSuffix(ent.Name(), ".json") {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // runRules prints the learned rules in human-readable form, grouped by

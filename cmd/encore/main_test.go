@@ -621,7 +621,7 @@ func TestAppFlagsSet(t *testing.T) {
 
 // TestRunScanFleetByteIdentical is the CLI half of the fleet determinism
 // property: `encore scan -shards N` must print byte-identical stdout to
-// the unsharded engine across topologies, corrupt images included.
+// the default one-shard scan across topologies, corrupt images included.
 func TestRunScanFleetByteIdentical(t *testing.T) {
 	training, _ := fixture(t)
 	targets := t.TempDir()
@@ -637,38 +637,12 @@ func TestRunScanFleetByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	capture := func(args ...string) string {
-		t.Helper()
-		oldOut, oldErr := os.Stdout, os.Stderr
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout, os.Stderr = w, devnull
-		runErr := runScan(args)
-		w.Close()
-		os.Stdout, os.Stderr = oldOut, oldErr
-		devnull.Close()
-		out, readErr := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		if readErr != nil {
-			t.Fatal(readErr)
-		}
-		return string(out)
-	}
-
-	want := capture("-training", training, "-targets", targets)
+	want := captureScan(t, targets, "-training", training, "-targets", targets)
 	if !strings.Contains(want, "FAILED") || !strings.Contains(want, "scanned 8 images") {
 		t.Fatalf("baseline output unexpected:\n%s", want)
 	}
 	for _, shards := range []string{"1", "2", "5"} {
-		got := capture("-training", training, "-targets", targets, "-shards", shards)
+		got := captureScan(t, targets, "-training", training, "-targets", targets, "-shards", shards)
 		if got != want {
 			t.Fatalf("-shards %s output diverged:\ngot:\n%s\nwant:\n%s", shards, got, want)
 		}
@@ -680,12 +654,13 @@ func TestRunScanFleetByteIdentical(t *testing.T) {
 	if err := sysimage.SaveDir(clean, images); err != nil {
 		t.Fatal(err)
 	}
-	syn := capture("-training", training, "-targets", clean, "-fleet", "40", "-shards", "2")
+	syn := captureScan(t, targets, "-training", training, "-targets", clean, "-fleet", "40", "-shards", "2")
 	if !strings.Contains(syn, "scanned 40 images") {
 		t.Fatalf("-fleet 40 summary wrong:\n%s", syn)
 	}
 
-	// -strict is incompatible with the out-of-order coordinator.
+	// -strict is rejected with -shards: shards start images out of input
+	// order, so the first failure seen need not be the first in order.
 	if err := runScan([]string{"-training", training, "-targets", targets, "-shards", "2", "-strict"}); err == nil {
 		t.Fatal("-strict -shards should be rejected")
 	}

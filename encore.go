@@ -36,6 +36,7 @@ import (
 	"repro/internal/custom"
 	"repro/internal/dataset"
 	"repro/internal/detect"
+	"repro/internal/fleet"
 	"repro/internal/planio"
 	"repro/internal/profile"
 	"repro/internal/rules"
@@ -59,6 +60,9 @@ type (
 	Config = rules.Config
 	// ScanResult is the outcome of a batch target scan.
 	ScanResult = scan.Result
+	// ImageSource is a fleet of already-loaded images, scanned in slice
+	// order (see ScanEngine).
+	ImageSource = fleet.ImageSource
 	// ScanError is one isolated per-image scan failure.
 	ScanError = scan.ScanError
 	// Plan is a compiled, immutable check plan shared read-only across
@@ -312,17 +316,6 @@ func (f *Framework) LoadPlan(data []byte) (*detect.Plan, error) {
 	return p, nil
 }
 
-// ScanEngineWithPlan returns a batch scan engine over an already-built
-// check plan (typically one rebuilt by LoadPlan), wired to the framework's
-// telemetry and logging like ScanEngine.
-func (f *Framework) ScanEngineWithPlan(p *detect.Plan) *scan.Engine {
-	return &scan.Engine{
-		Check:     p.Check,
-		Telemetry: f.Assembler.Telemetry,
-		Log:       f.Assembler.Log,
-	}
-}
-
 // Templates returns the framework's active rule templates.
 func (f *Framework) Templates() []*templates.Template { return f.Engine.Templates }
 
@@ -342,30 +335,18 @@ func (f *Framework) SetLogger(log *slog.Logger) {
 	f.Engine.Log = log
 }
 
-// ScanEngine returns a batch scan engine that checks targets against
-// learned knowledge with per-image fault isolation (see internal/scan).
-// The knowledge is compiled into a check plan once, shared read-only by
-// every worker (reports are identical to per-image Check calls; the
-// report-equivalence tests lock this down). The engine inherits the
-// assembler's telemetry recorder. Compile a new engine after customizing
-// the framework or re-learning.
-func (f *Framework) ScanEngine(k *Knowledge) *scan.Engine {
-	return &scan.Engine{
-		Check:     f.CompilePlan(k).Check,
+// ScanEngine returns the batch scan engine over a compiled check plan: a
+// fleet coordinator that checks every image with p.Check, each image its
+// own fault domain (see internal/fleet), wired to the framework's
+// telemetry recorder and logger. Build p with CompilePlan,
+// CompilePlanFromProfile or LoadPlan, and set the rest of the engine's
+// Opts (Shards, Workers, Strict, Alerts, ...) before Run or Collect.
+func (f *Framework) ScanEngine(p *detect.Plan) *fleet.Coordinator {
+	return &fleet.Coordinator{Opts: fleet.Options{
+		Check:     p.Check,
 		Telemetry: f.Assembler.Telemetry,
 		Log:       f.Assembler.Log,
-	}
-}
-
-// ScanEngineWithProfile returns a batch scan engine over a deserialized
-// knowledge profile (no training corpus in memory), with the profile
-// compiled into a shared check plan like ScanEngine.
-func (f *Framework) ScanEngineWithProfile(p *profile.Profile) *scan.Engine {
-	return &scan.Engine{
-		Check:     f.CompilePlanFromProfile(p).Check,
-		Telemetry: f.Assembler.Telemetry,
-		Log:       f.Assembler.Log,
-	}
+	}}
 }
 
 // TypeOf reports the semantic type learned for an attribute.

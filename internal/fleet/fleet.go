@@ -1,17 +1,17 @@
-// Package fleet is the sharded scan coordinator: it pushes the batch
-// scan engine from corpus-sized directories to 100k+-image fleets at
-// constant memory.
+// Package fleet is the batch scan engine: every scan of more than one
+// image — `encore scan` at any shard count, the daemon's batch endpoint —
+// runs through its Coordinator, from a corpus-sized directory up to a
+// 100k+-image fleet at constant memory. Each image runs scan.Step, so
+// every image is its own fault domain, panics included.
 //
-// The unsharded engine (internal/scan) pre-fills one buffered channel
-// with every task index — fine at 32 images, unbounded at fleet scale.
-// The coordinator instead splits the fleet's canonical input order into S
-// contiguous shards. Each shard owns a bounded deque fed by its own
-// discovery goroutine (backpressure: discovery blocks when its workers
-// lag) and a group of workers popping the deque front. A worker whose
-// shard is exhausted turns thief: it steals single tasks from its
-// neighbors' deque tails, so a skewed fleet (one shard holding nearly
-// everything) still finishes at full parallelism instead of idling S-1
-// worker groups.
+// The coordinator splits the fleet's canonical input order into S
+// contiguous shards; one shard is a plain worker pool over one queue.
+// Each shard owns a bounded deque fed by its own discovery goroutine
+// (backpressure: discovery blocks when its workers lag) and a group of
+// workers popping the deque front. A worker whose shard is exhausted
+// turns thief: it steals single tasks from its neighbors' deque tails, so
+// a skewed fleet (one shard holding nearly everything) still finishes at
+// full parallelism instead of idling S-1 worker groups.
 //
 // Memory is governed twice over. Structurally, only the name list and the
 // bounded deques are resident — images stream through the pooled decode
@@ -22,10 +22,10 @@
 // against it. Peak RSS stays flat as the fleet grows 10×.
 //
 // Determinism: every task index is processed exactly once and delivered
-// to the sink with its index; aggregating by index reproduces the
-// unsharded engine's output byte for byte, regardless of shard count,
-// worker count, or steal schedule. The per-image work itself (load +
-// Plan.Check) is deterministic, so only ordering needs recovering.
+// to the sink with its index; aggregating by index reproduces a serial
+// scan's output byte for byte, regardless of shard count, worker count,
+// or steal schedule. The per-image work itself (load + Plan.Check) is
+// deterministic, so only ordering needs recovering.
 package fleet
 
 import (
@@ -69,6 +69,11 @@ const (
 type Options struct {
 	// Check produces the report for one image. Required.
 	Check scan.CheckFunc
+	// Strict makes the first failing image fail the batch: the run is
+	// canceled, Run returns the lowest-index ScanError it saw, and Collect
+	// returns no result. When false, each failure is delivered to the
+	// sink as that image's outcome and the batch goes on.
+	Strict bool
 	// Shards is the number of discovery/worker groups; 0 picks
 	// min(NumCPU, 4) and is always clamped to the fleet size.
 	Shards int
@@ -81,8 +86,9 @@ type Options struct {
 	// (0 = DefaultMemoryBudget). A single oversized image is admitted
 	// alone rather than deadlocking.
 	MemoryBudget int64
-	// Telemetry receives counters, the per-image scan histogram, worker
-	// spans, and the encore_fleet_* families. Nil disables all of it.
+	// Telemetry receives counters, the per-image scan histogram, the
+	// scan.batch and scan.worker spans, and the encore_fleet_* families.
+	// Nil disables all of it.
 	// The coordinator deliberately records no per-image spans: a span
 	// per image would grow the recorder linearly with fleet size.
 	Telemetry *telemetry.Recorder
@@ -185,13 +191,19 @@ type run struct {
 	steals   atomic.Int64
 	errors   atomic.Int64
 	findings atomic.Int64
-	reqID    string
+	step     scan.Step
+
+	// failMu guards the lowest-index failure of a Strict run.
+	failMu  sync.Mutex
+	failIdx int
+	failErr *scan.ScanError
 }
 
 // Run scans every task of src across the configured shards and delivers
 // each outcome to sink. It blocks until the fleet is drained (or ctx is
 // canceled, in which case it stops promptly, joins every goroutine, and
-// returns ctx's error). Misuse (nil Check/src/sink) errors immediately.
+// returns ctx's error; a Strict run stops the same way on its first
+// failure and returns it). Misuse (nil Check/src/sink) errors immediately.
 func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, error) {
 	if c.Opts.Check == nil {
 		return Stats{}, fmt.Errorf("fleet: coordinator has no Check function")
@@ -214,14 +226,20 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 	r.stealCond = sync.NewCond(&r.stealMu)
 	r.budgetCond = sync.NewCond(&r.budgetMu)
 	r.remaining.Store(int64(n))
-	r.reqID = c.Opts.RequestID
-	if r.reqID == "" && c.Opts.Alerts != nil {
-		r.reqID = "scan-" + strconv.FormatInt(time.Now().UnixNano(), 36)
+	r.step.Check = c.Opts.Check
+	if c.Opts.Alerts != nil {
+		reqID := c.Opts.RequestID
+		if reqID == "" {
+			reqID = "scan-" + strconv.FormatInt(time.Now().UnixNano(), 36)
+		}
+		r.step.Alerting = &scan.Alerting{
+			Pipeline: c.Opts.Alerts, App: c.Opts.App, RequestID: reqID, PlanVersion: c.Opts.PlanVersion,
+		}
 	}
 
 	rec := c.Opts.Telemetry
 	defer rec.StartStage(telemetry.StageScanBatch)()
-	root := rec.StartSpan("fleet.batch",
+	root := rec.StartSpan("scan.batch",
 		telemetry.A("images", strconv.Itoa(n)),
 		telemetry.A("shards", strconv.Itoa(shards)),
 		telemetry.A("workers", strconv.Itoa(workers)))
@@ -293,6 +311,9 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 	rec.AddLabeled(MetricSteals, "", stats.Steals)
 	rec.SetGauge(MetricHighWaterBytes, "", float64(stats.HighWaterBytes))
 	rec.SetGauge(MetricInflightBytes, "", 0)
+	if r.failErr != nil {
+		return stats, r.failErr
+	}
 	if r.canceled.Load() {
 		return stats, ctx.Err()
 	}
@@ -300,9 +321,8 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 }
 
 // Collect runs the coordinator over src and gathers every item into a
-// Result in canonical input order — the drop-in sharded equivalent of
-// Engine.ScanDir, for fleets small enough to retain whole. Fleet-scale
-// consumers should pass Run a streaming sink instead.
+// Result in canonical input order, for fleets small enough to retain
+// whole. Fleet-scale consumers should pass Run a streaming sink instead.
 func (c *Coordinator) Collect(ctx context.Context, src Source) (*scan.Result, Stats, error) {
 	items := make([]scan.Item, src.Len())
 	stats, err := c.Run(ctx, src, func(idx int, it scan.Item) {
@@ -354,6 +374,17 @@ func shardRange(n, shards, s int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
+}
+
+// fail records a Strict run's failure at idx, keeping the lowest index
+// seen, and cancels the run so no further task starts.
+func (r *run) fail(idx int, e *scan.ScanError) {
+	r.failMu.Lock()
+	if r.failErr == nil || idx < r.failIdx {
+		r.failIdx, r.failErr = idx, e
+	}
+	r.failMu.Unlock()
+	r.cancel()
 }
 
 // cancel wakes everything that could be blocked.
@@ -514,7 +545,7 @@ func (r *run) release(size int64) {
 // worker drains its home shard front-to-back, then turns thief: it
 // sweeps the other shards' deque tails until the whole fleet is taken.
 func (r *run) worker(root *telemetry.Span, id, home int) {
-	ws := root.StartChild("fleet.worker",
+	ws := root.StartChild("scan.worker",
 		telemetry.A("worker", strconv.Itoa(id)),
 		telemetry.A("shard", strconv.Itoa(home)))
 	defer ws.End()
@@ -557,9 +588,8 @@ func (r *run) steal(home int) (idx int, ok bool) {
 	return 0, false
 }
 
-// process loads, checks, and delivers one task — the same per-image
-// semantics as the unsharded engine's runOne plus its telemetry, alert,
-// and progress side effects.
+// process loads one task, runs the per-image step on it, and delivers
+// the outcome with its counter, progress and log side effects.
 func (r *run) process(idx int, hist *telemetry.Histogram) {
 	size := r.src.Size(idx)
 	if !r.acquire(size) {
@@ -572,18 +602,14 @@ func (r *run) process(idx int, hist *telemetry.Histogram) {
 
 	start := time.Now()
 	var it scan.Item
-	img, err := r.src.Load(idx)
-	if err != nil {
-		it = scan.Item{Err: &scan.ScanError{Path: r.src.Name(idx), Err: err}}
+	if img, err := r.src.Load(idx); err != nil {
+		it = scan.Item{Err: &scan.ScanError{Err: err}}
+		hist.Observe(time.Since(start))
 	} else {
-		report, err := r.opts.Check(img)
-		if err != nil {
-			it = scan.Item{ImageID: img.ID, Err: &scan.ScanError{ImageID: img.ID, Path: r.src.Name(idx), Err: err}}
-		} else {
-			it = scan.Item{ImageID: img.ID, Report: report}
-		}
+		var elapsed time.Duration
+		it, elapsed = r.step.Run(img, start, nil)
+		hist.Observe(elapsed)
 	}
-	hist.Observe(time.Since(start))
 
 	rec := r.opts.Telemetry
 	rec.Add(telemetry.CounterImagesScanned, 1)
@@ -591,19 +617,10 @@ func (r *run) process(idx int, hist *telemetry.Histogram) {
 	if it.Err == nil {
 		warnings := len(it.Report.Warnings)
 		r.findings.Add(int64(warnings))
-		if r.opts.Alerts != nil {
-			for _, w := range it.Report.Warnings {
-				app := r.opts.App
-				if app == "" {
-					app = scan.AlertApp(w.Attr)
-				}
-				r.opts.Alerts.Publish(alert.FromWarning(w,
-					app, it.ImageID, r.reqID, r.opts.PlanVersion))
-			}
-		}
 		rec.Add(telemetry.CounterFindingsEmitted, int64(warnings))
 		r.opts.Progress.Step(warnings)
 	} else {
+		it.Err.Path = r.src.Name(idx)
 		r.errors.Add(1)
 		rec.Add(telemetry.CounterScanErrors, 1)
 		rec.AddLabeled(MetricErrors, "", 1)
@@ -611,6 +628,9 @@ func (r *run) process(idx int, hist *telemetry.Histogram) {
 		if r.opts.Log != nil {
 			r.opts.Log.Warn("image scan failed",
 				"image", it.Err.ImageID, "path", it.Err.Path, "err", it.Err.Err)
+		}
+		if r.opts.Strict {
+			r.fail(idx, it.Err)
 		}
 	}
 	r.sink(idx, it)

@@ -85,15 +85,29 @@ func itemsEqual(t *testing.T, i int, got, want scan.Item) {
 // TestFleetMatchesUnsharded is the determinism property test: across
 // shard/worker/queue/budget configurations — including degenerate ones
 // that force heavy stealing or heavy budget contention — the coordinator's
-// index-aggregated output is item-for-item identical to the unsharded
-// engine's. Run under -race this also exercises the deque and budget
-// synchronization.
+// index-aggregated output is item-for-item identical to a serial
+// Plan.Check loop over the source in input order. Run under -race this
+// also exercises the deque and budget synchronization.
 func TestFleetMatchesUnsharded(t *testing.T) {
 	fw, k, dir := testFleet(t, 14, "0corrupt.json", "mcorrupt.json")
-	eng := fw.ScanEngine(k)
-	want, err := eng.ScanDir(dir)
+	plan := fw.CompilePlan(k)
+	ref, err := fleet.NewDirSource(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := &scan.Result{Items: make([]scan.Item, ref.Len())}
+	for i := range want.Items {
+		img, err := ref.Load(i)
+		if err != nil {
+			want.Items[i] = scan.Item{Err: &scan.ScanError{Path: ref.Name(i), Err: err}}
+			continue
+		}
+		report, err := plan.Check(img)
+		if err != nil {
+			want.Items[i] = scan.Item{ImageID: img.ID, Err: &scan.ScanError{ImageID: img.ID, Path: ref.Name(i), Err: err}}
+			continue
+		}
+		want.Items[i] = scan.Item{ImageID: img.ID, Report: report}
 	}
 
 	configs := []fleet.Options{
@@ -106,7 +120,7 @@ func TestFleetMatchesUnsharded(t *testing.T) {
 		{Shards: 5, Workers: 2},                  // fewer workers than shards (raised)
 	}
 	for ci, opts := range configs {
-		opts.Check = eng.Check
+		opts.Check = plan.Check
 		src, err := fleet.NewDirSource(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -34,10 +34,10 @@ type Source interface {
 }
 
 // DirSource walks a directory of "*.json" image snapshots in sorted file
-// name order — the streaming fleet source behind `encore scan -shards`
-// and the daemon's ?dir= batch mode. Only the name list is resident
-// (~bytes per image); image payloads are decoded one at a time through
-// sysimage's pooled read buffers.
+// name order — the streaming fleet source behind `encore scan` and the
+// daemon's ?dir= batch mode. Only the name list is resident (~bytes per
+// image); image payloads are decoded one at a time through sysimage's
+// pooled read buffers.
 type DirSource struct {
 	dir   string
 	names []string
@@ -62,8 +62,7 @@ func NewDirSource(dir string) (*DirSource, error) {
 // Len is the number of image files found.
 func (s *DirSource) Len() int { return len(s.names) }
 
-// Name returns the full path of image i, matching the path the unsharded
-// engine's ScanDir records in its ScanErrors.
+// Name returns the full path of image i, the Path of its ScanError.
 func (s *DirSource) Name(i int) string { return filepath.Join(s.dir, s.names[i]) }
 
 // Size is the on-disk file size — the budget estimate for the decoded
@@ -82,9 +81,9 @@ func (s *DirSource) Load(i int) (*sysimage.Image, error) {
 	return sysimage.LoadFile(s.Name(i))
 }
 
-// ImageSource adapts an already-resident image slice — the in-memory
-// equivalent of Engine.Scan. Size is 0 for every task: the images are
-// alive regardless, so the memory budget has nothing to meter.
+// ImageSource adapts an already-resident image slice, scanned in slice
+// order. Size is 0 for every task: the images are alive regardless, so
+// the memory budget has nothing to meter.
 type ImageSource struct {
 	Images []*sysimage.Image
 }

@@ -1,30 +1,20 @@
-// Package scan implements the batch target-scan engine: it assembles and
-// checks N target images over a bounded worker pool with per-image fault
-// isolation.
+// Package scan holds the per-image step every scan path runs and the
+// types scan outcomes are reported in.
 //
-// The training phase and the detection phase of the paper are both
-// embarrassingly parallel; internal/rules already exploits that for
-// candidate validation and internal/assemble for training assembly. This
-// package does the same for the detection side at fleet scale, and adds
-// the failure semantics a production scanner needs: one malformed image
-// out of thousands must not abort the batch. By default a failing image
-// yields a per-image *ScanError in the result set while every other image
-// still produces its report; Strict mode preserves the historical
-// fail-fast behaviour (first error aborts the batch and cancels remaining
-// work).
+// The detection phase of the paper checks each target image on its own
+// against the learned rules, so a production scanner can make every image
+// its own fault domain: one malformed image out of thousands must not
+// abort the batch, and a panic while checking one image must not take the
+// process down with it. Step is that per-image sequence — check, error
+// record, one alert per warning — shared by the fleet coordinator
+// (internal/fleet, the one batch engine) and the daemon's single-scan
+// handler. Item, ScanError, Result and Summary carry its outcomes.
 package scan
 
 import (
 	"fmt"
-	"log/slog"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alert"
@@ -33,52 +23,83 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CheckFunc checks one target image against previously learned knowledge.
-// encore.Framework.Check and CheckWithProfile both adapt to this shape.
+// CheckFunc checks one target image against previously learned knowledge;
+// detect.Plan.Check is the production one.
 type CheckFunc func(img *sysimage.Image) (*detect.Report, error)
 
-// Engine scans batches of target images.
-type Engine struct {
+// Step is the per-image sequence of every scan path: check one image, turn
+// a returned error or a panic into the image's ScanError, and publish one
+// alert per warning of a healthy report. A Step is read-only once built,
+// so one value serves every worker of a batch.
+type Step struct {
 	// Check produces the report for one image. Required.
 	Check CheckFunc
-	// Workers bounds the pool; 0 means NumCPU.
-	Workers int
-	// Strict restores fail-fast semantics: the first failing image aborts
-	// the whole batch and Scan returns its error. When false (the
-	// default), failures are isolated per image and collected in the
-	// result set.
-	Strict bool
-	// Telemetry, when set, receives batch timings, per-image scan
-	// latencies, and per-worker spans.
-	Telemetry *telemetry.Recorder
-	// Progress, when set, is stepped once per finished image with that
-	// image's finding count — the periodic stderr reporter for long
-	// batches. The engine does not stop it; the caller owns its lifecycle.
-	Progress *telemetry.Progress
-	// Log, when set, receives structured per-image records (failures at
-	// warn, completions at debug), each correlated with its scan.image
-	// span. Nil silences engine logging.
-	Log *slog.Logger
-	// Alerts, when set, receives every warning as a severity-classified
-	// alert. Publishing is non-blocking by construction (a full queue
-	// drops and counts instead of stalling the worker), so the scan hot
-	// path never waits on a notifier.
-	Alerts *alert.Pipeline
-	// RequestID correlates this batch's alerts with its invocation (the
-	// daemon's X-Request-Id, or a CLI run ID). Empty means the engine
-	// generates one per batch, so even ad-hoc CLI scans emit joinable
-	// alerts.
-	RequestID string
-	// PlanVersion is the knowledge provenance stamped on alerts
-	// ("v3" from the registry, "plan:mysql.plan" from the CLI, ...).
-	PlanVersion string
+	// Alerting, when set, receives every warning of a healthy report. It
+	// sits behind its own pointer so the provenance strings Run hands to
+	// the pipeline share no pointer with Check: a method value such as
+	// plan.Check then stays on its caller's stack.
+	Alerting *Alerting
+}
+
+// Alerting is an alert pipeline plus the provenance stamped on every
+// alert a scan publishes into it.
+type Alerting struct {
+	// Pipeline receives one severity-classified alert per warning; nil
+	// publishes nothing. Publishing never blocks: a full queue drops and
+	// counts.
+	Pipeline *alert.Pipeline
+	// App is the application label (the daemon's registry app); empty
+	// derives it per warning through AlertApp.
+	App string
+	// RequestID correlates the alerts of one request or batch, and
+	// PlanVersion names the knowledge they were checked against.
+	RequestID, PlanVersion string
+}
+
+// Run checks img. elapsed runs from start to the check's return, before
+// any alert is published, and sp (nil-safe) ends at the same point, so a
+// caller that loaded the image first can pass the load's start and
+// neither figure counts alert publishing. A failed item's ScanError
+// carries the image ID; naming its source Path is the caller's job.
+func (s *Step) Run(img *sysimage.Image, start time.Time, sp *telemetry.Span) (it Item, elapsed time.Duration) {
+	it, elapsed = s.check(img, start)
+	sp.End()
+	if a := s.Alerting; it.Err == nil && a != nil && a.Pipeline != nil {
+		for _, w := range it.Report.Warnings {
+			app := a.App
+			if app == "" {
+				app = AlertApp(w.Attr)
+			}
+			a.Pipeline.Publish(alert.FromWarning(w, app, it.ImageID, a.RequestID, a.PlanVersion))
+		}
+	}
+	return it, elapsed
+}
+
+// check runs Check and recovers a panic into the image's ScanError: no
+// caller above a fleet worker goroutine recovers, so an unrecovered panic
+// would end the process. Plan.Check releases its pooled scratch only on
+// return, so a panicking check drops that scratch rather than handing a
+// half-written one back to the pool.
+func (s *Step) check(img *sysimage.Image, start time.Time) (it Item, elapsed time.Duration) {
+	defer func() {
+		if r := recover(); r != nil {
+			elapsed = time.Since(start)
+			it = Item{ImageID: img.ID, Err: &ScanError{ImageID: img.ID, Err: fmt.Errorf("panic: %v", r)}}
+		}
+	}()
+	report, err := s.Check(img)
+	elapsed = time.Since(start)
+	if err != nil {
+		return Item{ImageID: img.ID, Err: &ScanError{ImageID: img.ID, Err: err}}, elapsed
+	}
+	return Item{ImageID: img.ID, Report: report}, elapsed
 }
 
 // AlertApp derives an alert's app routing key from a flagged attribute:
 // config attributes are named "app:Entry" (the assembler's canonical
 // column names); environment attributes ("Sys.HostName", "OS.Version")
-// fall under "system". The fleet coordinator uses the same derivation so
-// sharded and unsharded scans route alerts identically.
+// fall under "system".
 func AlertApp(attr string) string {
 	if app, _, ok := strings.Cut(attr, ":"); ok {
 		return app
@@ -86,12 +107,12 @@ func AlertApp(attr string) string {
 	return "system"
 }
 
-// ScanError is the per-image failure record of a non-strict batch scan.
+// ScanError is the per-image failure record of a scan.
 type ScanError struct {
 	// ImageID is the failing image's ID ("" when the image could not even
 	// be decoded).
 	ImageID string
-	// Path is the source file, when the engine loaded the image itself.
+	// Path names the image's source (a file path, a request body line).
 	Path string
 	// Err is the underlying assembly/check/decode error.
 	Err error
@@ -129,38 +150,15 @@ type Result struct {
 	Items []Item
 }
 
-// Reports returns the successful reports in input order.
-func (r *Result) Reports() []*detect.Report {
-	var out []*detect.Report
-	for _, it := range r.Items {
-		if it.Report != nil {
-			out = append(out, it.Report)
-		}
-	}
-	return out
-}
-
-// Errors returns the per-image failures in input order.
-func (r *Result) Errors() []*ScanError {
-	var out []*ScanError
-	for _, it := range r.Items {
-		if it.Err != nil {
-			out = append(out, it.Err)
-		}
-	}
-	return out
-}
-
 // AttrCount is one attribute with its fleet-wide warning count.
 type AttrCount struct {
 	Attr  string
 	Count int
 }
 
-// Summary aggregates a batch scan fleet-wide. It can be built in one shot
-// from a Result (Summarize) or accumulated incrementally item by item
-// (Observe + Finish) — the streaming form the fleet coordinator's sinks
-// use so a 100k-image walk never has to retain its items.
+// Summary aggregates a batch scan fleet-wide, item by item (Observe, then
+// Finish), so a sink can summarize a 100k-image walk without retaining
+// its items.
 type Summary struct {
 	// Scanned counts all input images, healthy or not.
 	Scanned int
@@ -217,189 +215,4 @@ func (s *Summary) Finish() {
 		}
 		return s.HotAttrs[i].Attr < s.HotAttrs[j].Attr
 	})
-}
-
-// Summarize aggregates the result; minWarnings is the flagging floor used
-// for the Flagged count.
-func (r *Result) Summarize(minWarnings int) Summary {
-	var s Summary
-	for _, it := range r.Items {
-		s.Observe(it, minWarnings)
-	}
-	s.Finish()
-	if s.ByKind == nil {
-		s.ByKind = map[detect.Kind]int{}
-	}
-	return s
-}
-
-// task is one unit of batch work: either an already-loaded image or a file
-// to load first.
-type task struct {
-	path string
-	img  *sysimage.Image
-}
-
-// taskName names a task for span attributes before its image is decoded.
-func taskName(t task) string {
-	if t.img != nil {
-		return t.img.ID
-	}
-	return filepath.Base(t.path)
-}
-
-// Scan checks every image over the worker pool. In Strict mode the first
-// failure (in input order among the processed images) aborts the batch; in
-// the default mode every failure becomes a per-image Item.Err and Scan
-// itself only errors on misuse (nil Check).
-func (e *Engine) Scan(images []*sysimage.Image) (*Result, error) {
-	tasks := make([]task, len(images))
-	for i, img := range images {
-		tasks[i] = task{img: img}
-	}
-	return e.run(tasks)
-}
-
-// ScanDir loads every "*.json" image in dir (sorted by file name, like
-// sysimage.LoadDir) and scans them. Files that fail to decode are
-// isolated exactly like images that fail to check: a per-image ScanError
-// in the default mode, a batch abort in Strict mode.
-func (e *Engine) ScanDir(dir string) (*Result, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("scan: %w", err)
-	}
-	var tasks []task
-	for _, ent := range entries {
-		if ent.IsDir() || filepath.Ext(ent.Name()) != ".json" {
-			continue
-		}
-		tasks = append(tasks, task{path: filepath.Join(dir, ent.Name())})
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].path < tasks[j].path })
-	return e.run(tasks)
-}
-
-func (e *Engine) run(tasks []task) (*Result, error) {
-	if e.Check == nil {
-		return nil, fmt.Errorf("scan: engine has no Check function")
-	}
-	defer e.Telemetry.StartStage(telemetry.StageScanBatch)()
-
-	// Every alert from this batch carries the same request ID; generate
-	// one when the caller (CLI) didn't supply one so batch alerts are
-	// still joinable per invocation.
-	reqID := e.RequestID
-	if reqID == "" && e.Alerts != nil {
-		reqID = "scan-" + strconv.FormatInt(time.Now().UnixNano(), 36)
-	}
-
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(tasks) && len(tasks) > 0 {
-		workers = len(tasks)
-	}
-
-	root := e.Telemetry.StartSpan("scan.batch",
-		telemetry.A("images", strconv.Itoa(len(tasks))),
-		telemetry.A("workers", strconv.Itoa(workers)))
-	defer root.End()
-
-	items := make([]Item, len(tasks))
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	// The queue is buffered and filled up front: with an unbuffered
-	// channel every fast image forces a producer/consumer rendezvous, and
-	// the handoff serializes the pool enough that adding workers used to
-	// make the batch slower.
-	next := make(chan int, len(tasks))
-	for i := range tasks {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := root.StartChild("scan.worker", telemetry.A("worker", strconv.Itoa(w)))
-			defer ws.End()
-			// Per-image scan latencies accumulate worker-locally and fold
-			// into the shared recorder once per worker, so the hot loop
-			// takes no recorder lock for histogram updates. Counters still
-			// advance per finished image (live scrapes must see the batch
-			// move), which is one short lock per image, not four.
-			var scanHist telemetry.Histogram
-			defer e.Telemetry.MergeHistogram(telemetry.HistImageScan, &scanHist)
-			for i := range next {
-				if e.Strict && aborted.Load() {
-					continue
-				}
-				sp := ws.StartChild("scan.image", telemetry.A("task", taskName(tasks[i])))
-				start := time.Now()
-				items[i] = e.runOne(tasks[i])
-				elapsed := time.Since(start)
-				scanHist.Observe(elapsed)
-				if items[i].ImageID != "" {
-					sp.SetAttr("image", items[i].ImageID)
-				}
-				sp.End()
-				// Counters advance per finished image — not once at batch
-				// end — so a live /metrics scrape sees the batch move.
-				e.Telemetry.Add(telemetry.CounterImagesScanned, 1)
-				if items[i].Err == nil {
-					warnings := len(items[i].Report.Warnings)
-					if e.Alerts != nil {
-						for _, w := range items[i].Report.Warnings {
-							e.Alerts.Publish(alert.FromWarning(w,
-								AlertApp(w.Attr), items[i].ImageID, reqID, e.PlanVersion))
-						}
-					}
-					e.Telemetry.Add(telemetry.CounterFindingsEmitted, int64(warnings))
-					e.Progress.Step(warnings)
-					sp.Logger(e.Log).Debug("image scanned",
-						"image", items[i].ImageID, "warnings", warnings, "elapsed", elapsed)
-				} else {
-					e.Telemetry.Add(telemetry.CounterScanErrors, 1)
-					e.Progress.Step(0)
-					sp.Logger(e.Log).Warn("image scan failed",
-						"image", items[i].Err.ImageID, "path", items[i].Err.Path, "err", items[i].Err.Err)
-				}
-				if e.Strict && items[i].Err != nil {
-					aborted.Store(true)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if e.Strict {
-		for _, it := range items {
-			if it.Err != nil {
-				return nil, it.Err
-			}
-		}
-	}
-	return &Result{Items: items}, nil
-}
-
-// runOne loads (if needed) and checks one image, converting any failure
-// into the item's ScanError.
-func (e *Engine) runOne(t task) Item {
-	img := t.img
-	if img == nil {
-		var err error
-		// LoadFile reads through a pooled buffer, so a big batch does not
-		// allocate one decode buffer per file.
-		img, err = sysimage.LoadFile(t.path)
-		if err != nil {
-			return Item{Err: &ScanError{Path: t.path, Err: err}}
-		}
-	}
-	report, err := e.Check(img)
-	if err != nil {
-		return Item{ImageID: img.ID, Err: &ScanError{ImageID: img.ID, Path: t.path, Err: err}}
-	}
-	return Item{ImageID: img.ID, Report: report}
 }

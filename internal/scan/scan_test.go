@@ -14,17 +14,21 @@ import (
 
 	encore "repro"
 	"repro/internal/alert"
+	"repro/internal/assemble"
+	"repro/internal/conftypes"
 	"repro/internal/corpus"
 	"repro/internal/detect"
+	"repro/internal/fleet"
 	"repro/internal/inject"
 	"repro/internal/scan"
 	"repro/internal/sysimage"
 	"repro/internal/telemetry"
 )
 
-// fleet returns learned knowledge plus a target fleet whose image at index
-// corruptAt (if >= 0) fails assembly with a parse error.
-func fleet(t *testing.T, n, corruptAt int) (*encore.Framework, *encore.Knowledge, []*sysimage.Image) {
+// testFleet returns a framework, a plan compiled from learned knowledge,
+// and a target fleet whose image at index corruptAt (if >= 0) fails
+// assembly with a parse error.
+func testFleet(t *testing.T, n, corruptAt int) (*encore.Framework, *encore.Plan, []*sysimage.Image) {
 	t.Helper()
 	training, err := corpus.Training("mysql", 10, 5)
 	if err != nil {
@@ -47,23 +51,51 @@ func fleet(t *testing.T, n, corruptAt int) (*encore.Framework, *encore.Knowledge
 			App: "mysql", Path: "/etc/mysql/broken.cnf", Content: "[unterminated\n",
 		})
 	}
-	return fw, k, targets
+	return fw, fw.CompilePlan(k), targets
+}
+
+// reports returns a result's successful reports in input order.
+func reports(res *scan.Result) []*detect.Report {
+	var out []*detect.Report
+	for _, it := range res.Items {
+		if it.Report != nil {
+			out = append(out, it.Report)
+		}
+	}
+	return out
+}
+
+// failures returns a result's per-image failures in input order.
+func failures(res *scan.Result) []*scan.ScanError {
+	var out []*scan.ScanError
+	for _, it := range res.Items {
+		if it.Err != nil {
+			out = append(out, it.Err)
+		}
+	}
+	return out
+}
+
+// scanImages runs the batch engine over in-memory images and collects the
+// result in input order.
+func scanImages(eng *fleet.Coordinator, images []*sysimage.Image) (*scan.Result, error) {
+	res, _, err := eng.Collect(context.Background(), &encore.ImageSource{Images: images})
+	return res, err
 }
 
 // TestBatchFaultIsolation is the acceptance-criterion test: a batch over a
 // corpus containing one corrupt image returns findings for every other
 // image plus exactly one ScanError.
 func TestBatchFaultIsolation(t *testing.T) {
-	fw, k, targets := fleet(t, 6, 2)
-	eng := fw.ScanEngine(k)
-	res, err := eng.Scan(targets)
+	fw, plan, targets := testFleet(t, 6, 2)
+	res, err := scanImages(fw.ScanEngine(plan), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Items) != len(targets) {
 		t.Fatalf("items = %d, want %d", len(res.Items), len(targets))
 	}
-	errs := res.Errors()
+	errs := failures(res)
 	if len(errs) != 1 {
 		t.Fatalf("errors = %d, want exactly 1", len(errs))
 	}
@@ -73,7 +105,7 @@ func TestBatchFaultIsolation(t *testing.T) {
 	if !strings.Contains(errs[0].Error(), "target-002") || !strings.Contains(errs[0].Error(), "broken.cnf") {
 		t.Fatalf("ScanError lacks image/file context: %v", errs[0])
 	}
-	if got := len(res.Reports()); got != len(targets)-1 {
+	if got := len(reports(res)); got != len(targets)-1 {
 		t.Fatalf("reports = %d, want %d", got, len(targets)-1)
 	}
 	for i, it := range res.Items {
@@ -86,13 +118,80 @@ func TestBatchFaultIsolation(t *testing.T) {
 	}
 }
 
+// TestPanicIsolation: a check that panics on one image costs that image
+// alone. The panic becomes the image's ScanError and is counted like any
+// other failure, every other image still reports, Strict fails the batch
+// with that error, and the plan that panicked half-way through streaming
+// an image into its scratch then checks healthy images exactly as a
+// freshly compiled plan does.
+func TestPanicIsolation(t *testing.T) {
+	fw, plan, targets := testFleet(t, 6, -1)
+	_, fresh, _ := testFleet(t, 6, -1)
+	// An environment attribute computed after the image's config entries
+	// are streamed: panicking there leaves the plan's scratch half-written.
+	fw.Assembler.AddEnvAttr(assemble.EnvAttr{Name: "Test.Crafted", Type: conftypes.TypeString,
+		Compute: func(img *sysimage.Image) (string, bool) {
+			if img.ID == "target-002" {
+				panic("crafted image")
+			}
+			return "", false
+		}})
+
+	rec := telemetry.New()
+	eng := fw.ScanEngine(plan)
+	eng.Opts.Telemetry = rec
+	res, err := scanImages(eng, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range res.Items {
+		if i == 2 {
+			if it.Err == nil || it.Err.ImageID != "target-002" || !strings.HasPrefix(it.Err.Err.Error(), "panic: crafted image") {
+				t.Fatalf("panicking image = %+v, want its ScanError", it)
+			}
+			continue
+		}
+		if it.Report == nil || it.Report.SystemID != targets[i].ID {
+			t.Fatalf("item %d lost its report: %+v", i, it)
+		}
+	}
+	if got := rec.Counter(telemetry.CounterScanErrors); got != 1 {
+		t.Fatalf("scan errors = %d, want 1", got)
+	}
+	if got := rec.LabeledCounter(fleet.MetricErrors, ""); got != 1 {
+		t.Fatalf("%s = %d, want 1", fleet.MetricErrors, got)
+	}
+
+	eng.Opts.Strict = true
+	var se *scan.ScanError
+	if _, err := scanImages(eng, targets); !errors.As(err, &se) || se.ImageID != "target-002" {
+		t.Fatalf("strict error = %v, want the panicking image's ScanError", err)
+	}
+
+	for _, img := range append(targets[:2:2], targets[3:]...) {
+		got, err := plan.Check(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Check(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gj, _ := got.RenderJSON()
+		wj, _ := want.RenderJSON()
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("%s after a panic:\n%s\nwant:\n%s", img.ID, gj, wj)
+		}
+	}
+}
+
 // TestStrictFailFast checks the historical behaviour is preserved behind
 // Strict: the corrupt image aborts the whole batch.
 func TestStrictFailFast(t *testing.T) {
-	fw, k, targets := fleet(t, 6, 2)
-	eng := fw.ScanEngine(k)
-	eng.Strict = true
-	res, err := eng.Scan(targets)
+	fw, plan, targets := testFleet(t, 6, 2)
+	eng := fw.ScanEngine(plan)
+	eng.Opts.Strict = true
+	res, err := scanImages(eng, targets)
 	if err == nil {
 		t.Fatal("strict scan of corrupt fleet should fail")
 	}
@@ -107,24 +206,24 @@ func TestStrictFailFast(t *testing.T) {
 
 // TestScanCleanFleet checks the no-error path across worker counts.
 func TestScanCleanFleet(t *testing.T) {
-	fw, k, targets := fleet(t, 5, -1)
+	fw, plan, targets := testFleet(t, 5, -1)
 	for _, workers := range []int{0, 1, 4} {
-		eng := fw.ScanEngine(k)
-		eng.Workers = workers
-		res, err := eng.Scan(targets)
+		eng := fw.ScanEngine(plan)
+		eng.Opts.Workers = workers
+		res, err := scanImages(eng, targets)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(res.Errors()) != 0 || len(res.Reports()) != len(targets) {
+		if len(failures(res)) != 0 || len(reports(res)) != len(targets) {
 			t.Fatalf("workers=%d: unexpected result shape", workers)
 		}
 	}
 }
 
-// TestScanDirIsolatesDecodeErrors checks ScanDir treats an undecodable
-// image file like any other per-image failure.
+// TestScanDirIsolatesDecodeErrors checks a directory scan treats an
+// undecodable image file like any other per-image failure.
 func TestScanDirIsolatesDecodeErrors(t *testing.T) {
-	fw, k, targets := fleet(t, 4, -1)
+	fw, plan, targets := testFleet(t, 4, -1)
 	dir := t.TempDir()
 	if err := sysimage.SaveDir(dir, targets); err != nil {
 		t.Fatal(err)
@@ -132,31 +231,36 @@ func TestScanDirIsolatesDecodeErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng := fw.ScanEngine(k)
-	res, err := eng.ScanDir(dir)
+	src, err := fleet.NewDirSource(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := fw.ScanEngine(plan)
+	res, _, err := eng.Collect(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Items) != len(targets)+1 {
 		t.Fatalf("items = %d, want %d", len(res.Items), len(targets)+1)
 	}
-	errs := res.Errors()
+	errs := failures(res)
 	if len(errs) != 1 || !strings.Contains(errs[0].Path, "corrupt.json") {
 		t.Fatalf("errors = %v, want one decode failure for corrupt.json", errs)
 	}
-	if len(res.Reports()) != len(targets) {
-		t.Fatalf("reports = %d, want %d", len(res.Reports()), len(targets))
+	if len(reports(res)) != len(targets) {
+		t.Fatalf("reports = %d, want %d", len(reports(res)), len(targets))
 	}
 
-	eng.Strict = true
-	if _, err := eng.ScanDir(dir); err == nil {
-		t.Fatal("strict ScanDir should fail on the corrupt file")
+	eng.Opts.Strict = true
+	if _, _, err := eng.Collect(context.Background(), src); err == nil {
+		t.Fatal("strict directory scan should fail on the corrupt file")
 	}
 }
 
 // TestSummarize checks the fleet aggregation maths and ordering.
 func TestSummarize(t *testing.T) {
-	res := &scan.Result{Items: []scan.Item{
+	var s scan.Summary
+	for _, it := range []scan.Item{
 		{ImageID: "a", Report: &detect.Report{SystemID: "a", Warnings: []*detect.Warning{
 			{Kind: detect.KindType, Attr: "x"},
 			{Kind: detect.KindType, Attr: "y"},
@@ -166,8 +270,10 @@ func TestSummarize(t *testing.T) {
 		}}},
 		{ImageID: "c", Report: &detect.Report{SystemID: "c"}},
 		{Err: &scan.ScanError{ImageID: "d", Err: errors.New("boom")}},
-	}}
-	s := res.Summarize(2)
+	} {
+		s.Observe(it, 2)
+	}
+	s.Finish()
 	if s.Scanned != 4 || s.Flagged != 1 || s.Warnings != 3 || s.Errors != 1 {
 		t.Fatalf("summary = %+v", s)
 	}
@@ -182,11 +288,11 @@ func TestSummarize(t *testing.T) {
 
 // TestScanTelemetry verifies the batch counters.
 func TestScanTelemetry(t *testing.T) {
-	fw, k, targets := fleet(t, 5, 1)
+	fw, plan, targets := testFleet(t, 5, 1)
 	rec := telemetry.New()
-	eng := fw.ScanEngine(k)
-	eng.Telemetry = rec
-	res, err := eng.Scan(targets)
+	eng := fw.ScanEngine(plan)
+	eng.Opts.Telemetry = rec
+	res, err := scanImages(eng, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +303,7 @@ func TestScanTelemetry(t *testing.T) {
 		t.Fatalf("scan errors = %d, want 1", got)
 	}
 	warnings := 0
-	for _, rep := range res.Reports() {
+	for _, rep := range reports(res) {
 		warnings += len(rep.Warnings)
 	}
 	if got := rec.Counter(telemetry.CounterFindingsEmitted); got != int64(warnings) {
@@ -207,18 +313,18 @@ func TestScanTelemetry(t *testing.T) {
 
 // TestScanTelemetrySpansAndHistogram verifies the batch records per-image
 // scan latencies into the histogram, emits a span tree rooted at
-// scan.batch with per-worker and per-image children, and steps the
-// progress reporter once per image.
+// scan.batch with one child per worker and no per-image spans, and steps
+// the progress reporter once per image.
 func TestScanTelemetrySpansAndHistogram(t *testing.T) {
-	fw, k, targets := fleet(t, 5, -1)
+	fw, plan, targets := testFleet(t, 5, -1)
 	rec := telemetry.New()
-	eng := fw.ScanEngine(k)
-	eng.Telemetry = rec
-	eng.Workers = 2
+	eng := fw.ScanEngine(plan)
+	eng.Opts.Telemetry = rec
+	eng.Opts.Workers = 2
 	var buf bytes.Buffer
 	p := telemetry.NewProgress(&buf, "scan", len(targets), time.Hour)
-	eng.Progress = p
-	if _, err := eng.Scan(targets); err != nil {
+	eng.Opts.Progress = p
+	if _, err := scanImages(eng, targets); err != nil {
 		t.Fatal(err)
 	}
 	p.Stop()
@@ -244,8 +350,7 @@ func TestScanTelemetrySpansAndHistogram(t *testing.T) {
 	}
 
 	var rootID int64
-	workers, images := 0, 0
-	workerIDs := map[int64]bool{}
+	workers := 0
 	for _, sp := range snap.Spans {
 		if sp.Name == "scan.batch" {
 			rootID = sp.ID
@@ -255,41 +360,26 @@ func TestScanTelemetrySpansAndHistogram(t *testing.T) {
 		t.Fatalf("no scan.batch root span; spans = %+v", snap.Spans)
 	}
 	for _, sp := range snap.Spans {
-		if sp.Name == "scan.worker" {
+		switch sp.Name {
+		case "scan.batch":
+		case "scan.worker":
 			workers++
-			workerIDs[sp.ID] = true
 			if sp.Parent != rootID {
 				t.Fatalf("worker span parent = %d, want %d", sp.Parent, rootID)
 			}
+		default:
+			t.Fatalf("unexpected span %q: the batch records no per-image spans", sp.Name)
 		}
 	}
-	for _, sp := range snap.Spans {
-		if sp.Name != "scan.image" {
-			continue
-		}
-		images++
-		if !workerIDs[sp.Parent] {
-			t.Fatalf("image span parent %d is not a worker span", sp.Parent)
-		}
-		found := false
-		for _, a := range sp.Attrs {
-			if a.Key == "image" && strings.HasPrefix(a.Value, "target-") {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("image span lacks image attr: %+v", sp)
-		}
-	}
-	if workers != 2 || images != 5 {
-		t.Fatalf("workers=%d images=%d, want 2 and 5", workers, images)
+	if workers != 2 {
+		t.Fatalf("workers=%d, want 2", workers)
 	}
 }
 
 // TestEngineRequiresCheck pins the misuse error.
 func TestEngineRequiresCheck(t *testing.T) {
-	eng := &scan.Engine{}
-	if _, err := eng.Scan(nil); err == nil {
+	eng := &fleet.Coordinator{}
+	if _, err := scanImages(eng, nil); err == nil {
 		t.Fatal("engine without Check should error")
 	}
 }
@@ -319,7 +409,7 @@ func (m *memNotifier) alerts() []alert.Alert {
 // the alert pipeline carrying the batch request ID (generated when the
 // engine has none) and the engine's plan-version provenance.
 func TestScanPublishesAlerts(t *testing.T) {
-	fw, k, targets := fleet(t, 3, -1)
+	fw, plan, targets := testFleet(t, 3, -1)
 	if _, err := inject.New(7).Inject(targets[0], "mysql", 5); err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +419,10 @@ func TestScanPublishesAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := fw.ScanEngine(k)
-	eng.Alerts = pipe
-	eng.PlanVersion = "plan:test.plan"
-	res, err := eng.Scan(targets)
+	eng := fw.ScanEngine(plan)
+	eng.Opts.Alerts = pipe
+	eng.Opts.PlanVersion = "plan:test.plan"
+	res, err := scanImages(eng, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +465,10 @@ func TestScanPublishesAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := fw.ScanEngine(k)
-	eng2.Alerts = pipe2
-	eng2.RequestID = "batch-42"
-	if _, err := eng2.Scan(targets); err != nil {
+	eng2 := fw.ScanEngine(plan)
+	eng2.Opts.Alerts = pipe2
+	eng2.Opts.RequestID = "batch-42"
+	if _, err := scanImages(eng2, targets); err != nil {
 		t.Fatal(err)
 	}
 	if err := pipe2.Shutdown(context.Background()); err != nil {

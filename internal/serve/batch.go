@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -13,6 +14,16 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/scan"
 	"repro/internal/sysimage"
+)
+
+// Bounds on the batch endpoint's query parameters: each worker is a
+// goroutine and each shard a discovery goroutine with its own deque, so
+// one request may ask for at most maxBatchParallelism of either, and for
+// a synthetic fleet of at most maxSyntheticImages (the largest fleet the
+// fleet benchmarks drive).
+const (
+	maxBatchParallelism = 64
+	maxSyntheticImages  = 100_000
 )
 
 // batchLine is one NDJSON record of a /v1/scan/{app}/batch response:
@@ -50,7 +61,8 @@ type batchSummary struct {
 // record. The fleet comes from ?dir= (a server-local image directory),
 // ?dir=&synthetic=N (a synthetic fleet cycling that directory's images),
 // or the request body (NDJSON, one image document per line). ?shards= and
-// ?workers= tune the coordinator. Every finding feeds the alert pipeline
+// ?workers= tune the coordinator; a value outside [0, 64] gets 400 before
+// any scan work starts. Every finding feeds the alert pipeline
 // with per-image provenance (image ID, request ID, plan version). Client
 // disconnect cancels the fleet promptly.
 func (d *Daemon) handleScanBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx) {
@@ -61,14 +73,23 @@ func (d *Daemon) handleScanBatch(w http.ResponseWriter, r *http.Request, rc *req
 	}
 	rc.Span.SetAttr("plan_version", entry.Version)
 
+	q := r.URL.Query()
+	shards, err := intParam(q, "shards", 0, maxBatchParallelism)
+	if err != nil {
+		apiError(w, rc, http.StatusBadRequest, "%v", err)
+		return
+	}
+	workers, err := intParam(q, "workers", 0, maxBatchParallelism)
+	if err != nil {
+		apiError(w, rc, http.StatusBadRequest, "%v", err)
+		return
+	}
 	src, err := d.batchSource(r)
 	if err != nil {
 		apiError(w, rc, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rc.Span.SetAttr("images", strconv.Itoa(src.Len()))
-	shards, _ := strconv.Atoi(r.URL.Query().Get("shards"))
-	workers, _ := strconv.Atoi(r.URL.Query().Get("workers"))
 	if d.opts.ScanHook != nil {
 		d.opts.ScanHook(rc.App)
 	}
@@ -144,10 +165,10 @@ func (d *Daemon) handleScanBatch(w http.ResponseWriter, r *http.Request, rc *req
 func (d *Daemon) batchSource(r *http.Request) (fleet.Source, error) {
 	q := r.URL.Query()
 	if dir := q.Get("dir"); dir != "" {
-		if nStr := q.Get("synthetic"); nStr != "" {
-			n, err := strconv.Atoi(nStr)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("bad synthetic count %q", nStr)
+		if q.Get("synthetic") != "" {
+			n, err := intParam(q, "synthetic", 1, maxSyntheticImages)
+			if err != nil {
+				return nil, err
 			}
 			imgs, err := sysimage.LoadDir(dir)
 			if err != nil {
@@ -175,4 +196,18 @@ func (d *Daemon) batchSource(r *http.Request) (fleet.Source, error) {
 		return nil, fmt.Errorf("empty batch (send NDJSON image documents, or use ?dir=)")
 	}
 	return &fleet.BlobSource{Blobs: blobs, BaseName: "body"}, nil
+}
+
+// intParam parses query parameter name as an integer in [lo, hi]; an
+// absent parameter is 0.
+func intParam(q url.Values, name string, lo, hi int) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < lo || n > hi {
+		return 0, fmt.Errorf("%s must be an integer in [%d, %d], got %q", name, lo, hi, v)
+	}
+	return n, nil
 }

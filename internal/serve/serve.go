@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/alert"
 	"repro/internal/detect"
+	"repro/internal/scan"
 	"repro/internal/sysimage"
 	"repro/internal/telemetry"
 )
@@ -117,7 +118,11 @@ func New(opts Options) (*Daemon, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	d.srv = &http.Server{Handler: mux}
+	d.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: telemetry.ReadHeaderTimeout,
+		IdleTimeout:       telemetry.IdleTimeout,
+	}
 	go func() {
 		defer close(d.done)
 		if err := d.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -325,23 +330,25 @@ func (d *Daemon) handleScan(w http.ResponseWriter, r *http.Request, rc *reqCtx) 
 	if d.opts.ScanHook != nil {
 		d.opts.ScanHook(rc.App)
 	}
+	// The batch engine's per-image step: a check that errors or panics
+	// answers 422, and every finding is published as an alert.
+	step := scan.Step{Check: entry.Plan.Check, Alerting: &scan.Alerting{
+		Pipeline: d.opts.Alerts, App: rc.App, RequestID: rc.ID, PlanVersion: entry.Version,
+	}}
 	check := rc.Span.StartChild("serve.check", telemetry.A("image", img.ID))
-	start := time.Now()
-	report, err := entry.Plan.Check(img)
-	elapsed := time.Since(start)
-	check.End()
-	if err != nil {
+	it, elapsed := step.Run(img, time.Now(), check)
+	if it.Err != nil {
 		d.rec.AddLabeled("encore_serve_scan_errors_total", telemetry.L("app", rc.App), 1)
-		apiError(w, rc, http.StatusUnprocessableEntity, "check %s: %v", img.ID, err)
+		apiError(w, rc, http.StatusUnprocessableEntity, "check %s: %v", img.ID, it.Err.Err)
 		return
 	}
+	report := it.Report
 
 	appLabel := telemetry.L("app", rc.App)
 	d.rec.ObserveLabeled("encore_serve_scan_seconds", appLabel, elapsed)
 	for _, warn := range report.Warnings {
 		d.rec.AddLabeled("encore_serve_findings_total",
 			telemetry.L("app", rc.App, "severity", string(alert.SeverityForScore(warn.Score))), 1)
-		d.opts.Alerts.Publish(alert.FromWarning(warn, rc.App, img.ID, rc.ID, entry.Version))
 	}
 
 	// The report renders compactly into a pooled buffer; the outer encoder

@@ -33,6 +33,17 @@ type Server struct {
 	err   error
 }
 
+// Connection timeouts of the program's HTTP servers (this live metrics
+// service and the scan daemon): a client has ReadHeaderTimeout to send its
+// request headers, and a keep-alive connection idle for IdleTimeout is
+// closed. Neither server sets a WriteTimeout: the daemon's batch replies
+// stream for as long as the fleet takes, and /debug/pprof/profile runs for
+// the duration it is asked for.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // NewServer starts serving the recorder's live state on addr (host:port;
 // ":0" picks a free port, see Addr).
 func NewServer(addr string, rec *Recorder) (*Server, error) {
@@ -58,7 +69,11 @@ func NewServer(addr string, rec *Recorder) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
 	go func() {
 		defer close(s.done)
 		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {

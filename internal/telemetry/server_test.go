@@ -111,6 +111,21 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestServerTimeouts: the metrics service bounds how long a client may
+// take to send request headers and how long an idle connection is kept,
+// and sets no WriteTimeout that would cut /debug/pprof/profile short.
+func TestServerTimeouts(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.srv.ReadHeaderTimeout <= 0 || srv.srv.IdleTimeout <= 0 || srv.srv.WriteTimeout != 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, IdleTimeout = %v, WriteTimeout = %v; want the first two set, no WriteTimeout",
+			srv.srv.ReadHeaderTimeout, srv.srv.IdleTimeout, srv.srv.WriteTimeout)
+	}
+}
+
 // TestServerBadAddr checks a bind failure is an error, not a panic.
 func TestServerBadAddr(t *testing.T) {
 	if _, err := NewServer("256.0.0.1:-1", New()); err == nil {

@@ -1,6 +1,7 @@
 package encore
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -248,7 +249,7 @@ func TestScanEngineMatchesPerImageCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := equivalenceTargets(t, "apache", 4)
-	res, err := fw.ScanEngine(k).Scan(targets)
+	res, _, err := fw.ScanEngine(fw.CompilePlan(k)).Collect(context.Background(), &ImageSource{Images: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
