@@ -122,13 +122,13 @@ bench-scan:
 	@grep -o '"Output":"[^"]*"' BENCH_scan.json | sed 's/^"Output":"//;s/"$$//' | \
 		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
 
-# Per-image check-path perf trajectory: the legacy detector, the
-# profile-backed detector, and the compiled check plan on the same corpus
-# and target, plus image decode (the encoding/json oracle against
-# LoadJSON's native decoder), recorded machine-readably like bench-scan.
-# The plan/legacy and production/oracle ratios are the headlines.
+# Per-image check-path perf trajectory: the legacy detector (the test
+# oracle) and the compiled check plan on the same corpus and target, plus
+# image decode (the encoding/json oracle against LoadJSON's native
+# decoder), recorded machine-readably like bench-scan. The plan/legacy and
+# production/oracle ratios are the headlines.
 bench-check:
-	$(GO) test -run '^$$' -bench='DetectorCheck|ProfileCheck|PlanCheck|LoadJSON' -benchmem -json . ./internal/sysimage > BENCH_check.json.tmp && mv BENCH_check.json.tmp BENCH_check.json
+	$(GO) test -run '^$$' -bench='DetectorCheck|PlanCheck|LoadJSON' -benchmem -json . ./internal/sysimage > BENCH_check.json.tmp && mv BENCH_check.json.tmp BENCH_check.json
 	./scripts/bench_summary.sh BENCH_check.json
 	@grep -o '"Output":"[^"]*"' BENCH_check.json | sed 's/^"Output":"//;s/"$$//' | \
 		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
@@ -181,7 +181,7 @@ bench-all: bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet
 # One-iteration pass over the recorded benchmark families so CI catches
 # bench bit-rot without paying for stable measurements.
 bench-smoke:
-	$(GO) test -run '^$$' -bench='BatchScan|RuleInference|DetectorCheck|ProfileCheck|PlanCheck|PlanColdStart|IncrementalInfer|FleetScan/images=1000' \
+	$(GO) test -run '^$$' -bench='BatchScan|RuleInference|DetectorCheck|PlanCheck|PlanColdStart|IncrementalInfer|FleetScan/images=1000' \
 		-benchtime 1x -benchmem . >/dev/null
 	$(GO) test -run '^$$' -bench='^Benchmark(AssembleTraining|Learn)$$' -benchtime 1x -benchmem . >/dev/null
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
@@ -190,16 +190,18 @@ bench-smoke:
 
 # Short fuzz pass over each config-parser dialect (against the parsers as
 # first written, through a fresh and a reused scratch), PortNumber
-# inference (against strconv.Atoi), the plan decoder, the image decoder,
-# the image's environment probes and the bool-implies lexicon (against
-# strings.ToLower; seed corpora always run as part of tier 1; this
-# explores beyond them).
+# inference (against strconv.Atoi), the plan decoder, the profile decoder
+# (through plan build, check and the binary round trip), the image
+# decoder, the image's environment probes and the bool-implies lexicon
+# (against strings.ToLower; seed corpora always run as part of tier 1;
+# this explores beyond them).
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzINIParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzSSHDParse -fuzztime 10s
 	$(GO) test ./internal/conftypes -fuzz FuzzPortNumber -fuzztime 10s
 	$(GO) test ./internal/planio -fuzz FuzzPlanDecode -fuzztime 10s
+	$(GO) test ./internal/profile -fuzz FuzzProfile -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzImageProbes -fuzztime 10s
 	$(GO) test ./internal/templates -fuzz FuzzNormBool -fuzztime 10s

@@ -298,6 +298,9 @@ func BenchmarkRuleInferenceIndexed(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectorCheck records the cost of the legacy per-image
+// detector, the oracle the plan equivalence tests check against (see
+// BenchmarkPlanCheck for the production path).
 func BenchmarkDetectorCheck(b *testing.B) {
 	images, err := corpus.Training("mysql", 60, benchSeed)
 	if err != nil {
@@ -311,7 +314,7 @@ func BenchmarkDetectorCheck(b *testing.B) {
 	target := corpus.RealWorldCases()[2].Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fw.Check(k, target); err != nil {
+		if _, err := legacyCheck(fw, k, target); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -477,35 +480,6 @@ func BenchmarkExtensionCrossComponent(b *testing.B) {
 	b.ReportMetric(float64(res.CrossRules), "cross-rules")
 }
 
-// BenchmarkProfileCheck measures checking from a deserialized knowledge
-// profile (no training corpus in memory).
-func BenchmarkProfileCheck(b *testing.B) {
-	images, err := corpus.Training("mysql", 60, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fw := New()
-	k, err := fw.Learn(images)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := k.Profile().Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := LoadProfile(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := corpus.RealWorldCases()[2].Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fw.CheckWithProfile(p, target); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationThresholdSweep measures the filter-threshold
 // sensitivity sweep (confidence / support / entropy, 15 points).
 func BenchmarkAblationThresholdSweep(b *testing.B) {
@@ -538,7 +512,7 @@ func BenchmarkAdvise(b *testing.B) {
 		b.Fatal(err)
 	}
 	target := corpus.RealWorldCases()[2].Build()
-	report, err := fw.Check(k, target)
+	report, err := fw.CompilePlan(k).Check(target)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -249,7 +249,7 @@ func runCompile(args []string) (err error) {
 			err = ferr
 		}
 	}()
-	plan, _, err := knowledgePlan(fw, *training, *profileIn, "")
+	plan, _, _, err := knowledgePlan(fw, *training, *profileIn, "")
 	if err != nil {
 		return err
 	}
@@ -273,28 +273,30 @@ func loadPlanFile(fw *encore.Framework, path string) (*encore.Plan, error) {
 
 // knowledgePlan builds the check plan named by whichever one of
 // -training, -profile and -plan is set, and returns it with the
-// provenance stamped on alerts ("plan:mysql.plan", ...).
-func knowledgePlan(fw *encore.Framework, training, profileIn, planIn string) (*encore.Plan, string, error) {
+// provenance stamped on alerts ("plan:mysql.plan", ...). For -training it
+// also returns the learned knowledge (nil otherwise), whose live
+// distributions -advise reads.
+func knowledgePlan(fw *encore.Framework, training, profileIn, planIn string) (*encore.Plan, *encore.Knowledge, string, error) {
 	switch {
 	case planIn != "":
 		plan, err := loadPlanFile(fw, planIn)
-		return plan, "plan:" + filepath.Base(planIn), err
+		return plan, nil, "plan:" + filepath.Base(planIn), err
 	case profileIn != "":
 		data, err := os.ReadFile(profileIn)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, "", err
 		}
 		p, err := encore.LoadProfile(data)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, "", err
 		}
-		return fw.CompilePlanFromProfile(p), "profile:" + filepath.Base(profileIn), nil
+		return fw.CompilePlanFromProfile(p), nil, "profile:" + filepath.Base(profileIn), nil
 	default:
 		k, err := learn(fw, training)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, "", err
 		}
-		return fw.CompilePlan(k), "training:" + filepath.Base(training), nil
+		return fw.CompilePlan(k), k, "training:" + filepath.Base(training), nil
 	}
 }
 
@@ -336,50 +338,15 @@ func runCheck(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	var report *encore.Report
-	var knowledge *encore.Knowledge
-	var nRules, nTraining int
-	if *planIn != "" {
-		plan, err := loadPlanFile(fw, *planIn)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		report, err = plan.Check(img)
-		obs.Rec.ObserveDur(telemetry.HistTargetCheck, time.Since(start))
-		if err != nil {
-			return err
-		}
-		nRules, nTraining = plan.RuleCount(), plan.Samples()
-	} else if *profileIn != "" {
-		pdata, err := os.ReadFile(*profileIn)
-		if err != nil {
-			return err
-		}
-		p, err := encore.LoadProfile(pdata)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		report, err = fw.CheckWithProfile(p, img)
-		obs.Rec.ObserveDur(telemetry.HistTargetCheck, time.Since(start))
-		if err != nil {
-			return err
-		}
-		nRules, nTraining = len(p.Rules), p.Samples
-	} else {
-		k, err := learn(fw, *training)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		report, err = fw.Check(k, img)
-		obs.Rec.ObserveDur(telemetry.HistTargetCheck, time.Since(start))
-		if err != nil {
-			return err
-		}
-		knowledge = k
-		nRules, nTraining = len(k.Rules), len(k.Training.Rows)
+	plan, knowledge, _, err := knowledgePlan(fw, *training, *profileIn, *planIn)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	report, err := plan.Check(img)
+	obs.Rec.ObserveDur(telemetry.HistTargetCheck, time.Since(start))
+	if err != nil {
+		return err
 	}
 	if *asJSON {
 		data, err := report.RenderJSON()
@@ -389,7 +356,7 @@ func runCheck(args []string) (err error) {
 		fmt.Println(string(data))
 		return nil
 	}
-	fmt.Printf("checked %s against %d rules from %d training images\n", img.ID, nRules, nTraining)
+	fmt.Printf("checked %s against %d rules from %d training images\n", img.ID, plan.RuleCount(), plan.Samples())
 	fmt.Print(report.RenderText(*top))
 	if *withAdvice {
 		if knowledge == nil {
@@ -455,7 +422,7 @@ func runScan(args []string) (err error) {
 			err = ferr
 		}
 	}()
-	plan, planVersion, err := knowledgePlan(fw, *training, *profileIn, *planIn)
+	plan, _, planVersion, err := knowledgePlan(fw, *training, *profileIn, *planIn)
 	if err != nil {
 		return err
 	}

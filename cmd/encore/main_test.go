@@ -115,6 +115,31 @@ func TestRunCheckWithProfile(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNullRuleProfile: a profile holding a null rule is an
+// error for every subcommand that reads -profile, not a panic.
+func TestRunRejectsNullRuleProfile(t *testing.T) {
+	_, target := fixture(t)
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"samples":1,"attrs":[],"rules":[null]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"check", func() error { return runCheck([]string{"-profile", bad, "-target", target}) }},
+		{"scan", func() error { return runScan([]string{"-profile", bad, "-targets", dir}) }},
+		{"compile", func() error {
+			return runCompile([]string{"-profile", bad, "-plan-out", filepath.Join(dir, "x.plan")})
+		}},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "rule 0 is null") {
+			t.Errorf("%s -profile with a null rule: err = %v", c.name, err)
+		}
+	}
+}
+
 func TestRunAssembleWritesCSV(t *testing.T) {
 	training, _ := fixture(t)
 	csvFile := filepath.Join(t.TempDir(), "data.csv")

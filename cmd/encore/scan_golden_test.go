@@ -13,7 +13,7 @@ import (
 	"repro/internal/sysimage"
 )
 
-var update = flag.Bool("update", false, "rewrite the scan golden under testdata")
+var update = flag.Bool("update", false, "rewrite the scan and check goldens under testdata")
 
 // scanGoldenFixture writes the corpus every scan golden run reads: a
 // training directory, and a target directory holding clean and flagged
@@ -60,8 +60,15 @@ rules:
 
 // captureScan runs `encore scan` with stderr discarded and returns its
 // stdout with the target directory replaced by a fixed placeholder.
-// Stdout is drained while the scan runs, so output of any size fits.
 func captureScan(t *testing.T, targets string, args ...string) string {
+	t.Helper()
+	return strings.ReplaceAll(captureRun(t, runScan, args...), targets, "TARGETS")
+}
+
+// captureRun runs a subcommand with stderr discarded and returns its
+// stdout. Stdout is drained while the command runs, so output of any
+// size fits.
+func captureRun(t *testing.T, run func([]string) error, args ...string) string {
 	t.Helper()
 	oldOut, oldErr := os.Stdout, os.Stderr
 	r, w, err := os.Pipe()
@@ -78,7 +85,7 @@ func captureScan(t *testing.T, targets string, args ...string) string {
 		outCh <- data
 	}()
 	os.Stdout, os.Stderr = w, devnull
-	runErr := runScan(args)
+	runErr := run(args)
 	w.Close()
 	os.Stdout, os.Stderr = oldOut, oldErr
 	devnull.Close()
@@ -86,7 +93,7 @@ func captureScan(t *testing.T, targets string, args ...string) string {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return strings.ReplaceAll(string(out), targets, "TARGETS")
+	return string(out)
 }
 
 // TestRunScanGolden pins `encore scan`'s stdout byte for byte: FAILED

@@ -17,11 +17,14 @@
 //     support, confidence, and entropy filters pruning false rules.
 //
 // The Framework type bundles the pipeline; Learn produces Knowledge from a
-// training set; Check produces a ranked anomaly report for a target image.
+// training set; CompilePlan compiles it into a check plan, whose Check
+// produces a ranked anomaly report for a target image. Compile once and
+// check any number of targets with the same plan.
 //
 //	fw := encore.New()
 //	k, err := fw.Learn(trainingImages)
-//	report, err := fw.Check(k, target)
+//	plan := fw.CompilePlan(k)
+//	report, err := plan.Check(target)
 //	for _, w := range report.Warnings { fmt.Println(w.Rank, w.Message) }
 package encore
 
@@ -207,20 +210,12 @@ func (k *Knowledge) RuleSet() *rules.RuleSet {
 }
 
 // Profile exports the complete learned knowledge — attribute types, value
-// histograms, and rules — as a portable document. A detector rebuilt from
-// the profile (see CheckWithProfile) produces the same reports as one
-// holding the live training set, so targets can be checked without
-// shipping the training corpus.
+// histograms, and rules — as a portable document. It carries exactly the
+// knowledge's plan: CompilePlanFromProfile on the re-read profile builds
+// the plan CompilePlan builds, so targets can be checked without shipping
+// the training corpus.
 func (k *Knowledge) Profile() *profile.Profile {
 	return profile.Build(k.Training, k.Rules)
-}
-
-// CheckWithProfile checks a target against previously exported knowledge.
-func (f *Framework) CheckWithProfile(p *profile.Profile, img *sysimage.Image) (*detect.Report, error) {
-	dt := p.Detector()
-	dt.Assembler = f.Assembler
-	dt.Templates = f.Engine.Templates
-	return dt.Check(img)
 }
 
 // LoadProfile parses a serialized knowledge profile.
@@ -234,49 +229,25 @@ type Advice = advise.Advice
 // Advise derives remediation advice for a report's warnings, using the
 // knowledge's value distributions for "what the fleet does" hints.
 func (k *Knowledge) Advise(r *detect.Report) []Advice {
-	return advise.New(detect.DatasetView{D: k.Training}).ForReport(r)
+	return advise.New(k.Training).ForReport(r)
 }
 
 // RenderAdvice formats advice as a numbered list.
 func RenderAdvice(a []Advice) string { return advise.Render(a) }
 
-// Check runs the anomaly detector on a target image and returns a ranked
-// report.
-func (f *Framework) Check(k *Knowledge, img *sysimage.Image) (*detect.Report, error) {
-	if k == nil {
-		return nil, fmt.Errorf("encore: nil knowledge (call Learn first)")
-	}
-	dt := detect.New(k.Training, k.Rules)
-	dt.Assembler = f.Assembler
-	dt.Templates = f.Engine.Templates
-	return dt.Check(img)
-}
-
-// Detector returns a configured detector for callers that need to tune it
-// (warning limits, template sets) before checking.
-func (f *Framework) Detector(k *Knowledge) *detect.Detector {
-	dt := detect.New(k.Training, k.Rules)
-	dt.Assembler = f.Assembler
-	dt.Templates = f.Engine.Templates
-	return dt
-}
-
 // CompilePlan compiles learned knowledge into an immutable check plan:
 // histograms, scores, type checkers, and the misspelling index are
 // resolved once, and Plan.Check then runs the four anomaly checks over
-// pooled per-image scratch. Reports are identical to Check's; the plan
-// snapshots the knowledge, so compile a new one after re-learning.
+// pooled per-image scratch. The plan snapshots the knowledge, so compile a
+// new one after re-learning.
 func (f *Framework) CompilePlan(k *Knowledge) *detect.Plan {
-	return f.Detector(k).Compile()
+	return detect.NewPlanFromSpec(detect.SpecFromDataset(k.Training, k.Rules), f.Assembler, f.Engine.Templates)
 }
 
 // CompilePlanFromProfile compiles a deserialized knowledge profile into a
-// check plan (the batch counterpart of CheckWithProfile).
+// check plan against this framework's assembler and templates.
 func (f *Framework) CompilePlanFromProfile(p *profile.Profile) *detect.Plan {
-	dt := p.Detector()
-	dt.Assembler = f.Assembler
-	dt.Templates = f.Engine.Templates
-	return dt.Compile()
+	return detect.NewPlanFromSpec(p.Spec(), f.Assembler, f.Engine.Templates)
 }
 
 // MarshalPlan serializes a compiled plan to the versioned binary plan
@@ -307,10 +278,7 @@ func (f *Framework) LoadPlan(data []byte) (*detect.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := detect.NewPlanFromSpec(spec, f.Assembler, f.Engine.Templates)
-	if err != nil {
-		return nil, err
-	}
+	p := detect.NewPlanFromSpec(spec, f.Assembler, f.Engine.Templates)
 	rec.Add(telemetry.CounterPlanLoaded, 1)
 	rec.Add(telemetry.CounterPlanLoadedBytes, int64(len(data)))
 	return p, nil

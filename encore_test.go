@@ -37,7 +37,7 @@ func TestEndToEndMySQL(t *testing.T) {
 	}
 
 	target := corpus.RealWorldCases()[2].Build() // case 3: wrong datadir owner
-	report, err := fw.Check(k, target)
+	report, err := fw.CompilePlan(k).Check(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +55,6 @@ func TestEndToEndMySQL(t *testing.T) {
 func TestLearnEmptyTrainingSet(t *testing.T) {
 	if _, err := New().Learn(nil); err == nil {
 		t.Fatal("empty training set should error")
-	}
-}
-
-func TestCheckNilKnowledge(t *testing.T) {
-	img := corpus.RealWorldCases()[1].Build()
-	if _, err := New().Check(nil, img); err == nil {
-		t.Fatal("nil knowledge should error")
 	}
 }
 

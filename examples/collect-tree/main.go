@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := fw.Check(knowledge, img)
+	report, err := fw.CompilePlan(knowledge).Check(img)
 	if err != nil {
 		log.Fatal(err)
 	}

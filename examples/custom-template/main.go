@@ -70,7 +70,7 @@ func main() {
 	// Real-world case #7: the upload directory was chown'ed to root, so
 	// visitors can no longer upload. The custom rule catches it.
 	target := corpus.RealWorldCases()[6].Build()
-	report, err := fw.Check(knowledge, target)
+	report, err := fw.CompilePlan(knowledge).Check(target)
 	if err != nil {
 		log.Fatal(err)
 	}

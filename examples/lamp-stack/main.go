@@ -42,13 +42,16 @@ func main() {
 	}
 	fmt.Printf("%d rules total, %d spanning components\n\n", len(knowledge.Rules), cross)
 
+	// Compile once; both targets are checked against the same plan.
+	plan := fw.CompilePlan(knowledge)
+
 	// Failure 1: PHP points at a stale MySQL socket (the database moved).
 	victims, err := corpus.LAMPTraining(1, 77)
 	if err != nil {
 		log.Fatal(err)
 	}
 	brokenSocket := corpus.BreakLAMPSocket(victims[0])
-	report, err := fw.Check(knowledge, brokenSocket)
+	report, err := plan.Check(brokenSocket)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func main() {
 
 	// Failure 2: the session store was chowned away from Apache.
 	brokenSession := corpus.BreakLAMPSessionOwner(victims[0])
-	report, err = fw.Check(knowledge, brokenSession)
+	report, err = plan.Check(brokenSession)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	target := corpus.RealWorldCases()[2].Build()
 	fmt.Printf("\ntarget %s: datadir owner broken in the environment, values unchanged\n", target.ID)
 
-	report, err := fw.Check(knowledge, target)
+	report, err := fw.CompilePlan(knowledge).Check(target)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,13 @@ func main() {
 		fmt.Printf("extension_dir inferred as %s (verified against each image's file system)\n", t)
 	}
 
+	// Compile once; both targets are checked against the same plan.
+	plan := fw.CompilePlan(knowledge)
+
 	// Case 2 of the real-world study: extension_dir points at a regular
 	// file (a stray .so) instead of the modules directory.
 	fileTarget := corpus.RealWorldCases()[1].Build()
-	report, err := fw.Check(knowledge, fileTarget)
+	report, err := plan.Check(fileTarget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func main() {
 
 	// Case 5: extension_dir points at a location that does not exist.
 	missingTarget := corpus.RealWorldCases()[4].Build()
-	report, err = fw.Check(knowledge, missingTarget)
+	report, err = plan.Check(missingTarget)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,9 +52,9 @@ func main() {
 		fmt.Printf("  - %s\n", inj)
 	}
 
-	// 4. Check: the detector runs the four anomaly checks and ranks the
-	//    warnings.
-	report, err := fw.Check(knowledge, victim)
+	// 4. Check: compile the knowledge into a check plan, which runs the
+	//    four anomaly checks and ranks the warnings.
+	report, err := fw.CompilePlan(knowledge).Check(victim)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func TestBinaryPlanReportEquivalence(t *testing.T) {
 						plan.Samples(), plan.RuleCount(), plan.AttrCount())
 				}
 				for _, img := range equivalenceTargets(t, app, seed) {
-					legacy, err := fw.Check(k, img)
+					legacy, err := legacyCheck(fw, k, img)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -183,7 +183,8 @@ func TestBinaryPlanReportEquivalence(t *testing.T) {
 
 // TestBinaryPlanFromProfile covers the other production path into the
 // codec: profile JSON -> compiled plan -> binary -> loaded plan, compared
-// against CheckWithProfile.
+// against the legacy detector over the live knowledge the profile was
+// exported from.
 func TestBinaryPlanFromProfile(t *testing.T) {
 	training, err := corpus.Training("mysql", 12, 4)
 	if err != nil {
@@ -207,7 +208,7 @@ func TestBinaryPlanFromProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, img := range equivalenceTargets(t, "mysql", 4) {
-		legacy, err := fw.CheckWithProfile(p, img)
+		legacy, err := legacyCheck(fw, k, img)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestPipelineAllApps(t *testing.T) {
 				t.Fatal(err)
 			}
 			clean[0].ID = app + "-clean"
-			report, err := fw.Check(k, clean[0])
+			report, err := fw.CompilePlan(k).Check(clean[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestSSHDDetectsBrokenChroot(t *testing.T) {
 	}
 	fm.Owner = "sshd"
 	fm.Mode = 0o777
-	report, err := fw.Check(k, victim)
+	report, err := fw.CompilePlan(k).Check(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +112,7 @@ func TestInjectionAlwaysDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := fw.CompilePlan(k)
 	for seed := int64(0); seed < 8; seed++ {
 		victims, err := corpus.Training("mysql", 1, 300+seed)
 		if err != nil {
@@ -123,7 +124,7 @@ func TestInjectionAlwaysDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := fw.Check(k, victim)
+		report, err := plan.Check(victim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,9 @@ func TestInjectionAlwaysDetectable(t *testing.T) {
 }
 
 // TestProfileRoundTripProperty: exporting and re-importing knowledge never
-// changes a report, across corpora seeds.
+// changes a report, across corpora seeds — a plan compiled from the
+// re-imported profile reports what the legacy detector reports over the
+// live knowledge.
 func TestProfileRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		seed = seed%100 + 1
@@ -165,11 +168,11 @@ func TestProfileRoundTripProperty(t *testing.T) {
 			return false
 		}
 		target := corpus.RealWorldCases()[1].Build()
-		live, err := fw.Check(k, target)
+		live, err := legacyCheck(fw, k, target)
 		if err != nil {
 			return false
 		}
-		fromProfile, err := fw.CheckWithProfile(p, target)
+		fromProfile, err := fw.CompilePlanFromProfile(p).Check(target)
 		if err != nil {
 			return false
 		}

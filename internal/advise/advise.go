@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/stats"
 )
@@ -31,14 +32,14 @@ type Advice struct {
 	Confidence string
 }
 
-// Advisor derives remediation advice using the training view's value
+// Advisor derives remediation advice using the training set's value
 // distributions.
 type Advisor struct {
-	Training detect.TrainingView
+	Training *dataset.Dataset
 }
 
-// New returns an advisor over the detector's training view.
-func New(training detect.TrainingView) *Advisor {
+// New returns an advisor over a live training set.
+func New(training *dataset.Dataset) *Advisor {
 	return &Advisor{Training: training}
 }
 
@@ -169,7 +170,7 @@ func (a *Advisor) adviseSuspicious(w *detect.Warning) (Advice, bool) {
 	if !ok {
 		return Advice{}, false
 	}
-	hist := a.Training.Histogram(w.Attr)
+	hist := a.histogram(w.Attr)
 	if len(hist) == 1 {
 		return Advice{
 			Warning:    w,
@@ -193,9 +194,14 @@ func (a *Advisor) adviseSuspicious(w *detect.Warning) (Advice, bool) {
 	}, true
 }
 
+// histogram returns the attribute's value counts across the training set.
+func (a *Advisor) histogram(attr string) map[string]int {
+	return stats.Histogram(a.Training.Column(attr))
+}
+
 // commonValue returns the most frequent training value of the attribute.
 func (a *Advisor) commonValue(attr string) (string, bool) {
-	hist := a.Training.Histogram(attr)
+	hist := a.histogram(attr)
 	if len(hist) == 0 {
 		return "", false
 	}

@@ -244,25 +244,6 @@ func TestCustomAugmenterAndEnvAttr(t *testing.T) {
 	}
 }
 
-func TestAppsIn(t *testing.T) {
-	a := mysqlImage("a", "/var/lib/mysql", "mysql")
-	b := sysimage.New("b")
-	b.SetConfig("apache", "/etc/httpd/conf/httpd.conf", "Listen 80\n")
-	apps := AppsIn([]*sysimage.Image{a, b})
-	if len(apps) != 2 || apps[0] != "apache" || apps[1] != "mysql" {
-		t.Fatalf("apps = %v", apps)
-	}
-}
-
-func TestBaseEntryName(t *testing.T) {
-	if got := BaseEntryName("mysql:mysqld/datadir"); got != "mysqld/datadir" {
-		t.Fatalf("BaseEntryName = %q", got)
-	}
-	if got := BaseEntryName("noprefix"); got != "noprefix" {
-		t.Fatalf("BaseEntryName = %q", got)
-	}
-}
-
 func TestWorldReadableAugment(t *testing.T) {
 	im := mysqlImage("wr", "/var/lib/mysql", "mysql")
 	im.AddRegular("/var/log/mysql.log", "mysql", "mysql", 0o644, 0)

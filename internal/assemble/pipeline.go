@@ -3,9 +3,7 @@ package assemble
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -387,32 +385,4 @@ func (a *Assembler) AssembleTarget(img *sysimage.Image, training *dataset.Datase
 	applyDecls(d, decls)
 	d.Rows = append(d.Rows, row)
 	return d, nil
-}
-
-// AppsIn lists the distinct applications configured in the images, sorted.
-func AppsIn(images []*sysimage.Image) []string {
-	set := map[string]bool{}
-	for _, img := range images {
-		for _, cf := range img.ConfigFiles {
-			set[cf.App] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for app := range set {
-		out = append(out, app)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// BaseEntryName strips the app prefix from an attribute name, recovering
-// the configuration entry name ("mysql:mysqld/datadir" ->
-// "mysqld/datadir"). Whether an attribute is augmented is recorded on the
-// dataset column, not encoded in the name (PHP entry names legitimately
-// contain dots, e.g. session.save_path).
-func BaseEntryName(attr string) string {
-	if i := strings.Index(attr, ":"); i >= 0 {
-		return attr[i+1:]
-	}
-	return attr
 }

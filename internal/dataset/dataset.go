@@ -115,19 +115,6 @@ func (d *Dataset) Attr(name string) (Attribute, bool) {
 // Attributes returns all columns in declaration order.
 func (d *Dataset) Attributes() []Attribute { return d.attrs }
 
-// AttributesOfType returns the names of all columns with the given semantic
-// type, sorted.
-func (d *Dataset) AttributesOfType(t conftypes.Type) []string {
-	var out []string
-	for _, a := range d.attrs {
-		if a.Type == t {
-			out = append(out, a.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NewRow appends and returns an empty row for a system.
 func (d *Dataset) NewRow(systemID string) *Row {
 	r := &Row{SystemID: systemID, Cells: make(map[string][]string)}

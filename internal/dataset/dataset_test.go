@@ -68,14 +68,6 @@ func TestColumnPresentEntropy(t *testing.T) {
 	}
 }
 
-func TestAttributesOfType(t *testing.T) {
-	d := sample()
-	users := d.AttributesOfType(conftypes.TypeUserName)
-	if len(users) != 2 || users[0] != "mysqld/datadir.owner" || users[1] != "mysqld/user" {
-		t.Fatalf("AttributesOfType = %v", users)
-	}
-}
-
 func TestOccurrenceCounts(t *testing.T) {
 	d := New()
 	d.DeclareAttr("LoadModule", conftypes.TypeString, false)

@@ -76,53 +76,16 @@ func (r *Report) RankOf(pred func(*Warning) bool) int {
 	return 0
 }
 
-// TrainingView is the read-only knowledge a detector needs about the
-// training set. It is satisfied both by a live *dataset.Dataset (checking
-// right after learning) and by a deserialized profile (checking from
-// exported knowledge, without the training corpus).
-type TrainingView interface {
-	// Attr returns the attribute's declaration and whether it exists.
-	Attr(name string) (dataset.Attribute, bool)
-	// Attributes lists every declared attribute.
-	Attributes() []dataset.Attribute
-	// Present counts the systems in which the attribute appeared.
-	Present(attr string) int
-	// Histogram returns the attribute's value counts across all training
-	// instances.
-	Histogram(attr string) map[string]int
-	// Samples is the number of training systems.
-	Samples() int
-}
-
-// DatasetView adapts a live dataset to the TrainingView interface.
-type DatasetView struct{ D *dataset.Dataset }
-
-// Attr implements TrainingView.
-func (v DatasetView) Attr(name string) (dataset.Attribute, bool) { return v.D.Attr(name) }
-
-// Attributes implements TrainingView.
-func (v DatasetView) Attributes() []dataset.Attribute { return v.D.Attributes() }
-
-// Present implements TrainingView.
-func (v DatasetView) Present(attr string) int { return v.D.Present(attr) }
-
-// Histogram implements TrainingView.
-func (v DatasetView) Histogram(attr string) map[string]int {
-	return stats.Histogram(v.D.Column(attr))
-}
-
-// Samples implements TrainingView.
-func (v DatasetView) Samples() int { return len(v.D.Rows) }
-
-// Detector checks target systems against learned knowledge.
+// Detector is the reference implementation of the four checks: it
+// assembles each target into a fresh one-row dataset and reads the live
+// training set per call. Production checks run through a compiled Plan
+// (see Compile); the equivalence tests hold Plan.Check to this Check's
+// reports.
 type Detector struct {
-	Training  TrainingView
+	Training  *dataset.Dataset
 	Rules     []*rules.Rule
 	Templates []*templates.Template
 	Assembler *assemble.Assembler
-	// TrainingTypes seeds the target assembler with learned attribute
-	// types; when checking from a live dataset this is the dataset itself.
-	TrainingTypes *dataset.Dataset
 
 	// SuspiciousValueLimit caps suspicious-value warnings per report to
 	// keep reports reviewable (0 = no cap).
@@ -133,24 +96,10 @@ type Detector struct {
 // using the predefined templates and a fresh default assembler.
 func New(training *dataset.Dataset, learned []*rules.Rule) *Detector {
 	return &Detector{
-		Training:      DatasetView{D: training},
-		TrainingTypes: training,
-		Rules:         learned,
-		Templates:     templates.Predefined(),
-		Assembler:     assemble.New(),
-	}
-}
-
-// NewFromView returns a detector over an arbitrary training view (e.g. a
-// deserialized knowledge profile). types carries the learned attribute
-// types for target assembly.
-func NewFromView(view TrainingView, types *dataset.Dataset, learned []*rules.Rule) *Detector {
-	return &Detector{
-		Training:      view,
-		TrainingTypes: types,
-		Rules:         learned,
-		Templates:     templates.Predefined(),
-		Assembler:     assemble.New(),
+		Training:  training,
+		Rules:     learned,
+		Templates: templates.Predefined(),
+		Assembler: assemble.New(),
 	}
 }
 
@@ -161,7 +110,7 @@ func (dt *Detector) template(id string) *templates.Template {
 // Check assembles the target image and runs all four anomaly checks,
 // returning a ranked report.
 func (dt *Detector) Check(img *sysimage.Image) (*Report, error) {
-	target, err := dt.Assembler.AssembleTarget(img, dt.TrainingTypes)
+	target, err := dt.Assembler.AssembleTarget(img, dt.Training)
 	if err != nil {
 		return nil, err
 	}
@@ -185,6 +134,12 @@ func (dt *Detector) Check(img *sysimage.Image) (*Report, error) {
 // the training set.
 func (dt *Detector) trainingHas(attr string) bool {
 	return dt.Training.Present(attr) > 0
+}
+
+// histogram returns the attribute's value counts across all training
+// instances.
+func (dt *Detector) histogram(attr string) map[string]int {
+	return stats.Histogram(dt.Training.Column(attr))
 }
 
 // checkNames flags configured entries whose names never occur in training.
@@ -286,7 +241,7 @@ func (dt *Detector) checkTypes(row *dataset.Row, img *sysimage.Image) []*Warning
 			if syn && sem {
 				continue
 			}
-			card := len(dt.Training.Histogram(attr))
+			card := len(dt.histogram(attr))
 			score := 50.0
 			if card == 1 {
 				// Every training system agreed on this aspect: strongest
@@ -315,7 +270,7 @@ func (dt *Detector) checkTypes(row *dataset.Row, img *sysimage.Image) []*Warning
 // checkSuspiciousValues flags values never seen in training, ranked by
 // inverse change frequency.
 func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
-	samples := dt.Training.Samples()
+	samples := len(dt.Training.Rows)
 	var out []*Warning
 	for attr, values := range row.Cells {
 		// Augmented attributes participate: deviations in environment
@@ -325,7 +280,7 @@ func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
 		if !ok || !dt.trainingHas(attr) {
 			continue
 		}
-		seen := dt.Training.Histogram(attr)
+		seen := dt.histogram(attr)
 		card := len(seen)
 		// Attributes that are unique (or nearly so) per system — host
 		// names, addresses — carry no peer signal; a fresh value there is

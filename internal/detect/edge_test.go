@@ -71,24 +71,27 @@ func TestTargetParseErrorSurfaces(t *testing.T) {
 	}
 }
 
-func TestDatasetViewAccessors(t *testing.T) {
+// TestSpecFromDataset pins the spec a live training set compiles from:
+// sample count, Has from presence, the histogram sorted by value, one
+// type declaration per attribute and the rules as given.
+func TestSpecFromDataset(t *testing.T) {
 	d := tinyTraining()
-	v := DatasetView{D: d}
-	if v.Samples() != 3 {
-		t.Fatalf("samples = %d", v.Samples())
+	spec := SpecFromDataset(d, nil)
+	if spec.Samples != 3 || spec.SuspLimit != 0 || spec.Rules != nil {
+		t.Fatalf("spec header = %d/%d/%v", spec.Samples, spec.SuspLimit, spec.Rules)
 	}
-	if v.Present("mysql:mysqld/user") != 3 {
-		t.Fatal("present wrong")
+	if len(spec.Attrs) != 1 {
+		t.Fatalf("attrs = %+v", spec.Attrs)
 	}
-	h := v.Histogram("mysql:mysqld/user")
-	if h["mysql"] != 3 {
-		t.Fatalf("histogram = %v", h)
+	a := spec.Attrs[0]
+	if a.Name != "mysql:mysqld/user" || a.Augmented || !a.Has || a.Sig != charSig(a.Name) {
+		t.Fatalf("attr = %+v", a)
 	}
-	if len(v.Attributes()) != 1 {
-		t.Fatal("attributes wrong")
+	if len(a.Hist) != 1 || a.Hist[0] != (PlanSpecHistEntry{Value: "mysql", Count: 3}) {
+		t.Fatalf("histogram = %+v", a.Hist)
 	}
-	if _, ok := v.Attr("ghost"); ok {
-		t.Fatal("ghost attr")
+	if len(spec.Types) != 1 || spec.Types[0] != (PlanSpecType{Name: a.Name, Type: a.Type}) {
+		t.Fatalf("types = %+v", spec.Types)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -21,15 +20,17 @@ import (
 // checks need from the training side — per-attribute histograms,
 // cardinalities, precomputed scores, resolved type checkers, compiled
 // rule/template pairs, and a pruned entry-name index for misspelling
-// suggestions — resolved once at Compile time and shared read-only across
-// any number of scan workers. Per-image state lives in pooled scratch, so
-// Check builds no dataset, no histogram, and (for names already seen in
-// training) no strings.
+// suggestions — resolved once when the plan is built and shared read-only
+// across any number of scan workers. Per-image state lives in pooled
+// scratch, so Check builds no dataset, no histogram, and (for names
+// already seen in training) no strings.
 //
-// A Plan snapshots the detector's training view at Compile time; mutating
-// the training dataset afterwards is not reflected (compile a new Plan).
-// Check is safe for concurrent use and produces reports identical to
-// Detector.Check, which remains the reference implementation.
+// Every Plan is built by NewPlanFromSpec from a PlanSpec, whether the
+// spec came from a live training set (Compile), a profile or binary plan
+// bytes. A Plan snapshots its spec; mutating the training dataset
+// afterwards is not reflected (compile a new Plan). Check is safe for
+// concurrent use and produces reports identical to Detector.Check, which
+// remains the reference implementation.
 type Plan struct {
 	samples   int
 	suspLimit int
@@ -52,8 +53,8 @@ type Plan struct {
 	nameIdx []nameCand
 
 	// rules pairs each learned rule with its resolved template; rules
-	// whose template is not installed are dropped at compile time, exactly
-	// as checkCorrelations skips them.
+	// whose template is not installed are dropped when the plan is built,
+	// exactly as checkCorrelations skips them.
 	rules []planRule
 
 	pool sync.Pool
@@ -85,20 +86,6 @@ type planAttr struct {
 	check func(v string, img *sysimage.Image) (syntacticOK, semanticOK bool)
 }
 
-// sortedHist converts a training histogram map into the plan's sorted
-// slice form (nil for an empty histogram, matching the spec encoding).
-func sortedHist(m map[string]int) []PlanSpecHistEntry {
-	if len(m) == 0 {
-		return nil
-	}
-	hist := make([]PlanSpecHistEntry, 0, len(m))
-	for v, n := range m {
-		hist = append(hist, PlanSpecHistEntry{Value: v, Count: n})
-	}
-	sort.Slice(hist, func(a, b int) bool { return hist[a].Value < hist[b].Value })
-	return hist
-}
-
 // histHas reports whether v appeared in training — binary search over the
 // sorted histogram. Attributes diverse enough for this to matter are
 // suspSkip'd anyway, so the searched slices stay small.
@@ -127,7 +114,7 @@ type planSlot struct {
 	// attr is the training attribute of this name; nil for a name only the
 	// type table or a rule mentions.
 	attr *planAttr
-	// typ is the target-assembly type declaration (the TrainingTypes map
+	// typ is the target-assembly type declaration (the training type
 	// AssembleTarget would consult per image), when typed.
 	typ   conftypes.Type
 	typed bool
@@ -154,51 +141,19 @@ func charSig(s string) uint64 {
 	return sig
 }
 
-// Compile builds the immutable check plan for this detector's current
-// training view, rules, templates, and assembler.
+// Compile builds the immutable check plan for this detector's training
+// set, rules, templates, and assembler: SpecFromDataset's spec, built by
+// the same NewPlanFromSpec a profile or binary plan goes through.
 func (dt *Detector) Compile() *Plan {
-	attrs := dt.Training.Attributes()
-	checkers := newCheckerCache(dt.Assembler.Inferencer)
-	p := &Plan{
-		samples:   dt.Training.Samples(),
-		suspLimit: dt.SuspiciousValueLimit,
-		assembler: dt.Assembler,
-		attrStore: make([]planAttr, len(attrs)),
-	}
-	for i, a := range attrs {
-		hist := sortedHist(dt.Training.Histogram(a.Name))
-		pa := &p.attrStore[i]
-		*pa = planAttr{
-			decl:    a,
-			has:     dt.Training.Present(a.Name) > 0,
-			hist:    hist,
-			card:    len(hist),
-			trivial: a.Type.IsTrivial(),
-			check:   checkers.get(a.Type),
-		}
-		pa.deriveScores(p.samples)
-		if !a.Augmented {
-			p.nameIdx = append(p.nameIdx, nameCand{name: a.Name, sig: charSig(a.Name)})
-		}
-	}
-	var types []PlanSpecType
-	if dt.TrainingTypes != nil {
-		decls := dt.TrainingTypes.Attributes()
-		types = make([]PlanSpecType, len(decls))
-		for i, a := range decls {
-			types[i] = PlanSpecType{Name: a.Name, Type: a.Type}
-		}
-	}
-	p.link(types, dt.Rules, dt.Templates)
-	return p
+	spec := SpecFromDataset(dt.Training, dt.Rules)
+	spec.SuspLimit = dt.SuspiciousValueLimit
+	return NewPlanFromSpec(spec, dt.Assembler, dt.Templates)
 }
 
 // link gives every known name its slot — training attributes first, in
 // declaration order, then type-table names, then rule attributes — and
 // resolves each rule's template and attribute slots, dropping rules whose
 // template is not installed exactly as checkCorrelations skips them.
-// Compile and NewPlanFromSpec both end here, so a plan rebuilt from its
-// spec links identically.
 func (p *Plan) link(types []PlanSpecType, rs []*rules.Rule, tpls []*templates.Template) {
 	p.slots = make([]planSlot, 0, len(p.attrStore)+len(types))
 	p.slotOf = make(map[string]int32, len(p.attrStore)+len(types))
@@ -231,9 +186,8 @@ func (p *Plan) slotIndex(name string) int32 {
 
 // deriveScores computes the per-attribute check parameters that follow
 // from the histogram cardinality, the Augmented flag, and the sample
-// count. Compile and NewPlanFromSpec both go through it, so a plan rebuilt
-// from its serialized spec is arithmetically identical to the originally
-// compiled one.
+// count. They are never serialized, so a plan rebuilt from its spec is
+// arithmetically identical to the one the spec came from.
 func (pa *planAttr) deriveScores(samples int) {
 	pa.typeScore = 50.0
 	if pa.card == 1 {
@@ -631,7 +585,7 @@ func (s *scratch) editDistance(a, b string, bound int) int {
 }
 
 // checkCorrelations is checkCorrelations compiled: templates and
-// attribute slots were resolved per rule at Compile time.
+// attribute slots were resolved per rule when the plan was built.
 func (p *Plan) checkCorrelations(s *scratch, ws []*Warning) []*Warning {
 	for _, pr := range p.rules {
 		r := pr.rule
@@ -658,7 +612,7 @@ func (p *Plan) checkCorrelations(s *scratch, ws []*Warning) []*Warning {
 }
 
 // checkTypes is checkTypes compiled: the type dispatch and the
-// cardinality score were resolved per attribute at Compile time.
+// cardinality score were resolved per attribute when the plan was built.
 func (p *Plan) checkTypes(s *scratch, img *sysimage.Image, ws []*Warning) []*Warning {
 	for _, i := range s.touched {
 		pa := s.attr(i)

@@ -1,24 +1,25 @@
 package detect
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/assemble"
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
 	"repro/internal/rules"
+	"repro/internal/stats"
 	"repro/internal/templates"
 )
 
-// PlanSpec is the serializable content of a compiled Plan: everything
-// Compile derived from the training view, in a deterministic order, with
-// all runtime-only state (checkers, pools, derived scores) stripped.
-// internal/planio encodes a PlanSpec to the binary plan format;
-// NewPlanFromSpec turns a decoded spec back into a live Plan. Derived
-// quantities (cardinality, type/suspicion scores, prefilter skip flags)
-// are intentionally not carried — they are recomputed by the same code
-// Compile uses, so a round-tripped plan cannot drift from a compiled one.
+// PlanSpec is the one input every Plan is built from: the training-side
+// knowledge the checks need, with all runtime-only state (checkers, pools,
+// derived scores) stripped. SpecFromDataset derives it from a live
+// training set, (*profile.Profile).Spec from a knowledge profile, and
+// internal/planio decodes it from the binary plan format; NewPlanFromSpec
+// turns any of them into a live Plan, and Plan.Spec extracts it back.
+// Derived quantities (cardinality, type/suspicion scores, prefilter skip
+// flags) are intentionally not carried — NewPlanFromSpec recomputes them,
+// so a round-tripped plan cannot drift from the one it was encoded from.
 type PlanSpec struct {
 	// Samples is the training-population size.
 	Samples int
@@ -26,11 +27,11 @@ type PlanSpec struct {
 	SuspLimit int
 	// Attrs lists the compiled attributes in declaration order.
 	Attrs []PlanSpecAttr
-	// Types carries the target-assembly type declarations (the
-	// TrainingTypes map), sorted by name.
+	// Types carries the target-assembly type declarations (the training
+	// set's attribute types). Plan.Spec sorts them by name.
 	Types []PlanSpecType
-	// Rules lists the learned rules whose templates resolved at compile
-	// time, in plan order.
+	// Rules lists the learned rules in plan order. Plan.Spec carries only
+	// those whose template resolved when the plan was built.
 	Rules []*rules.Rule
 }
 
@@ -100,17 +101,58 @@ func (p *Plan) Spec() *PlanSpec {
 	return spec
 }
 
-// NewPlanFromSpec rebuilds a live Plan from a (decoded) spec, resolving
-// type checkers against the assembler's inferencer and rule templates
-// against tpls — the same resolution Compile performs, so checking with
-// the rebuilt plan is byte-identical to checking with the original. A nil
-// assembler gets a fresh default one; nil templates get the predefined
-// set (mirroring detect.New). Rules whose template is not installed are
-// dropped, exactly as Compile drops them.
-func NewPlanFromSpec(spec *PlanSpec, asm *assemble.Assembler, tpls []*templates.Template) (*Plan, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("detect: nil plan spec")
+// SpecFromDataset builds the plan spec of a live training set and its
+// learned rules: attributes in declaration order, one type declaration per
+// attribute, and the rules as given. SuspLimit is left at 0 (no cap).
+func SpecFromDataset(ds *dataset.Dataset, learned []*rules.Rule) *PlanSpec {
+	attrs := ds.Attributes()
+	spec := &PlanSpec{
+		Samples: len(ds.Rows),
+		Attrs:   make([]PlanSpecAttr, len(attrs)),
+		Types:   make([]PlanSpecType, len(attrs)),
+		Rules:   learned,
 	}
+	for i, a := range attrs {
+		spec.Attrs[i] = SpecAttr(a, ds.Present(a.Name), stats.Histogram(ds.Column(a.Name)))
+		spec.Types[i] = PlanSpecType{Name: a.Name, Type: a.Type}
+	}
+	return spec
+}
+
+// SpecAttr builds one attribute's spec entry from its declaration, the
+// number of training systems that set it, and its value histogram.
+func SpecAttr(a dataset.Attribute, present int, hist map[string]int) PlanSpecAttr {
+	return PlanSpecAttr{
+		Name:      a.Name,
+		Type:      a.Type,
+		Augmented: a.Augmented,
+		Has:       present > 0,
+		Sig:       charSig(a.Name),
+		Hist:      sortedHist(hist),
+	}
+}
+
+// sortedHist converts a histogram map into the spec's sorted slice form
+// (nil for an empty histogram, matching the binary encoding).
+func sortedHist(m map[string]int) []PlanSpecHistEntry {
+	if len(m) == 0 {
+		return nil
+	}
+	hist := make([]PlanSpecHistEntry, 0, len(m))
+	for v, n := range m {
+		hist = append(hist, PlanSpecHistEntry{Value: v, Count: n})
+	}
+	sort.Slice(hist, func(a, b int) bool { return hist[a].Value < hist[b].Value })
+	return hist
+}
+
+// NewPlanFromSpec builds a live Plan from a spec, resolving type checkers
+// against the assembler's inferencer and rule templates against tpls. It
+// is the only constructor of a Plan, so a compiled, a profile-built and a
+// decoded plan of the same spec check identically. A nil assembler gets a
+// fresh default one; nil templates get the predefined set (mirroring
+// detect.New). Rules whose template is not installed are dropped.
+func NewPlanFromSpec(spec *PlanSpec, asm *assemble.Assembler, tpls []*templates.Template) *Plan {
 	if asm == nil {
 		asm = assemble.New()
 	}
@@ -144,7 +186,7 @@ func NewPlanFromSpec(spec *PlanSpec, asm *assemble.Assembler, tpls []*templates.
 		}
 	}
 	p.link(spec.Types, spec.Rules, tpls)
-	return p, nil
+	return p
 }
 
 // findTemplate resolves a template ID against an installed set.

@@ -142,30 +142,31 @@ func forEachApp(fn func(i int, app string) error) error {
 	return nil
 }
 
-// trainAll trains every app concurrently and returns the knowledge keyed
-// by app.
-func trainAll(seed int64) (map[string]*Trained, error) {
-	trained := make([]*Trained, len(Apps))
+// planAll trains every app concurrently and returns one compiled check
+// plan per app.
+func planAll(seed int64) (map[string]*detect.Plan, error) {
+	plans := make([]*detect.Plan, len(Apps))
 	if err := forEachApp(func(i int, app string) error {
 		tr, err := Train(app, 0, seed)
-		trained[i] = tr
-		return err
+		if err != nil {
+			return err
+		}
+		plans[i] = tr.Plan()
+		return nil
 	}); err != nil {
 		return nil, err
 	}
-	out := make(map[string]*Trained, len(Apps))
+	out := make(map[string]*detect.Plan, len(Apps))
 	for i, app := range Apps {
-		out[app] = trained[i]
+		out[app] = plans[i]
 	}
 	return out, nil
 }
 
-// Detector returns a detector over the trained knowledge.
-func (t *Trained) Detector() *detect.Detector {
-	dt := detect.New(t.Data, t.Rules)
-	dt.Assembler = t.Assembler
-	dt.Templates = t.Engine.Templates
-	return dt
+// Plan compiles the trained knowledge into a check plan. A table compiles
+// it once per app and checks every target of that app with it.
+func (t *Trained) Plan() *detect.Plan {
+	return detect.NewPlanFromSpec(detect.SpecFromDataset(t.Data, t.Rules), t.Assembler, t.Engine.Templates)
 }
 
 // ---- Table 1 ----
@@ -411,7 +412,7 @@ func Table8(seed int64) ([]Table8Row, error) {
 		if err != nil {
 			return err
 		}
-		report, err := tr.Detector().Check(victim)
+		report, err := tr.Plan().Check(victim)
 		if err != nil {
 			return err
 		}

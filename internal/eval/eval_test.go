@@ -249,7 +249,7 @@ func TestTrainUsesPaperSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Images) != 10 || tr.Detector() == nil {
+	if len(tr.Images) != 10 || tr.Plan() == nil {
 		t.Fatal("Train(10) wrong")
 	}
 }

@@ -57,7 +57,7 @@ func ExtensionEnvInjection(seed int64) ([]EnvInjectionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		report, err := tr.Detector().Check(victim)
+		report, err := tr.Plan().Check(victim)
 		if err != nil {
 			return nil, err
 		}
@@ -106,17 +106,14 @@ func ExtensionCrossComponent(n int, seed int64) (*CrossComponentResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	asm := newAssembler()
-	ds, err := asm.AssembleTraining(images)
+	tr, err := TrainImages(images)
 	if err != nil {
 		return nil, err
 	}
-	eng := newEngine()
-	learned := eng.Infer(ds, corpus.ByID(images))
 
-	res := &CrossComponentResult{Rules: len(learned)}
+	res := &CrossComponentResult{Rules: len(tr.Rules)}
 	truth := corpus.LAMPTrueRules()
-	for _, r := range learned {
+	for _, r := range tr.Rules {
 		if appOfAttr(r.AttrA) != appOfAttr(r.AttrB) && appOfAttr(r.AttrA) != "" && appOfAttr(r.AttrB) != "" {
 			res.CrossRules++
 			for _, t := range truth {
@@ -126,17 +123,14 @@ func ExtensionCrossComponent(n int, seed int64) (*CrossComponentResult, error) {
 			}
 		}
 	}
-
-	dt := detect.New(ds, learned)
-	dt.Assembler = asm
-	dt.Templates = eng.Templates
+	plan := tr.Plan()
 
 	victims, err := corpus.LAMPTraining(1, seed+50)
 	if err != nil {
 		return nil, err
 	}
 	socketTarget := corpus.BreakLAMPSocket(victims[0])
-	rep, err := dt.Check(socketTarget)
+	rep, err := plan.Check(socketTarget)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +139,7 @@ func ExtensionCrossComponent(n int, seed int64) (*CrossComponentResult, error) {
 	})
 
 	sessionTarget := corpus.BreakLAMPSessionOwner(victims[0])
-	rep, err = dt.Check(sessionTarget)
+	rep, err = plan.Check(sessionTarget)
 	if err != nil {
 		return nil, err
 	}

@@ -24,15 +24,13 @@ type Table9Row struct {
 // reconstructed cases is checked against the knowledge learned for its
 // application.
 func Table9(seed int64) ([]Table9Row, error) {
-	trained, err := trainAll(seed)
+	plans, err := planAll(seed)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Table9Row
 	for _, c := range corpus.RealWorldCases() {
-		tr := trained[c.App]
-		target := c.Build()
-		report, err := tr.Detector().Check(target)
+		report, err := plans[c.App].Check(c.Build())
 		if err != nil {
 			return nil, err
 		}
@@ -96,11 +94,11 @@ type Table10Row struct {
 	Images       int // distinct images with at least one detection
 }
 
-// Table10 applies the EC2-trained detectors to the EC2-like and
+// Table10 applies the EC2-trained plans to the EC2-like and
 // private-cloud-like target populations and categorizes detections against
 // the planted ground truth.
 func Table10(seed int64) ([]Table10Row, error) {
-	trained, err := trainAll(seed)
+	plans, err := planAll(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -125,8 +123,7 @@ func Table10(seed int64) ([]Table10Row, error) {
 			img := byID[l.ImageID]
 			rep, ok := reports[l.ImageID]
 			if !ok {
-				app := appOf(img)
-				r, err := trained[app].Detector().Check(img)
+				r, err := plans[appOf(img)].Check(img)
 				if err != nil {
 					return nil, err
 				}

@@ -4,20 +4,21 @@
 //
 // The paper notes that "since the checking and the learning are cleanly
 // separated, the learned rules can be reused to check different systems".
-// A Profile is that separation made concrete: it carries everything the
-// anomaly detector consumes about the training population, so a target can
-// be checked on a machine that never saw (and is never shipped) the
-// training images.
+// A Profile is that separation made concrete: it carries exactly the plan
+// spec a check plan is built from (see Spec), so a target can be checked
+// on a machine that never saw (and is never shipped) the training images.
 package profile
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/rules"
+	"repro/internal/stats"
 )
 
 // AttrProfile is one attribute's learned summary.
@@ -40,17 +41,35 @@ type Profile struct {
 // Build summarizes a training dataset and its learned rules.
 func Build(training *dataset.Dataset, learned []*rules.Rule) *Profile {
 	p := &Profile{Samples: len(training.Rows), Rules: learned}
-	view := detect.DatasetView{D: training}
 	for _, a := range training.Attributes() {
 		p.Attrs = append(p.Attrs, AttrProfile{
 			Name:      a.Name,
 			Type:      string(a.Type),
 			Augmented: a.Augmented,
 			Present:   training.Present(a.Name),
-			Histogram: view.Histogram(a.Name),
+			Histogram: stats.Histogram(training.Column(a.Name)),
 		})
 	}
 	return p
+}
+
+// Spec returns the plan spec the profile describes: attributes in profile
+// order, one type declaration per attribute, and the rules as given — the
+// spec detect.SpecFromDataset derives from the training set the profile
+// was built from.
+func (p *Profile) Spec() *detect.PlanSpec {
+	spec := &detect.PlanSpec{
+		Samples: p.Samples,
+		Attrs:   make([]detect.PlanSpecAttr, len(p.Attrs)),
+		Types:   make([]detect.PlanSpecType, len(p.Attrs)),
+		Rules:   p.Rules,
+	}
+	for i, a := range p.Attrs {
+		decl := dataset.Attribute{Name: a.Name, Type: conftypes.Type(a.Type), Augmented: a.Augmented}
+		spec.Attrs[i] = detect.SpecAttr(decl, a.Present, a.Histogram)
+		spec.Types[i] = detect.PlanSpecType{Name: decl.Name, Type: decl.Type}
+	}
+	return spec
 }
 
 // Marshal serializes the profile to JSON.
@@ -58,70 +77,40 @@ func (p *Profile) Marshal() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// Unmarshal parses a serialized profile.
+// maxCount bounds every count a profile carries into a plan: the binary
+// plan format reads counts up to MaxInt64/2, so an accepted profile always
+// compiles to a plan that encodes and decodes back to the same bytes.
+const maxCount = math.MaxInt64 / 2
+
+// Unmarshal parses a serialized profile. A profile is untrusted input (the
+// daemon takes it over the network), so Unmarshal also rejects what no
+// learned profile holds and no plan can carry: a null rule, and a sample
+// count, histogram count or rule count that is negative or beyond
+// maxCount.
 func Unmarshal(data []byte) (*Profile, error) {
 	var p Profile
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
+	if !validCount(p.Samples) {
+		return nil, fmt.Errorf("profile: samples %d out of range", p.Samples)
+	}
+	for _, a := range p.Attrs {
+		for _, n := range a.Histogram {
+			if !validCount(n) {
+				return nil, fmt.Errorf("profile: attribute %q has a histogram count out of range", a.Name)
+			}
+		}
+	}
+	for i, r := range p.Rules {
+		if r == nil {
+			return nil, fmt.Errorf("profile: rule %d is null", i)
+		}
+		if !validCount(r.Support) || !validCount(r.Valid) {
+			return nil, fmt.Errorf("profile: rule %d (%s) has a support or valid count out of range", i, r.Key())
+		}
+	}
 	return &p, nil
 }
 
-// view adapts a Profile to detect.TrainingView.
-type view struct {
-	p     *Profile
-	index map[string]int
-}
-
-func (v view) attr(i int) dataset.Attribute {
-	a := v.p.Attrs[i]
-	return dataset.Attribute{Name: a.Name, Type: conftypes.Type(a.Type), Augmented: a.Augmented}
-}
-
-// Attr implements detect.TrainingView.
-func (v view) Attr(name string) (dataset.Attribute, bool) {
-	i, ok := v.index[name]
-	if !ok {
-		return dataset.Attribute{}, false
-	}
-	return v.attr(i), true
-}
-
-// Attributes implements detect.TrainingView.
-func (v view) Attributes() []dataset.Attribute {
-	out := make([]dataset.Attribute, len(v.p.Attrs))
-	for i := range v.p.Attrs {
-		out[i] = v.attr(i)
-	}
-	return out
-}
-
-// Present implements detect.TrainingView.
-func (v view) Present(attr string) int {
-	if i, ok := v.index[attr]; ok {
-		return v.p.Attrs[i].Present
-	}
-	return 0
-}
-
-// Histogram implements detect.TrainingView.
-func (v view) Histogram(attr string) map[string]int {
-	if i, ok := v.index[attr]; ok {
-		return v.p.Attrs[i].Histogram
-	}
-	return nil
-}
-
-// Samples implements detect.TrainingView.
-func (v view) Samples() int { return v.p.Samples }
-
-// Detector builds a ready anomaly detector from the profile alone.
-func (p *Profile) Detector() *detect.Detector {
-	idx := make(map[string]int, len(p.Attrs))
-	types := dataset.New()
-	for i, a := range p.Attrs {
-		idx[a.Name] = i
-		types.DeclareAttr(a.Name, conftypes.Type(a.Type), a.Augmented)
-	}
-	return detect.NewFromView(view{p: p, index: idx}, types, p.Rules)
-}
+func validCount(n int) bool { return n >= 0 && n <= maxCount }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,8 +76,8 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestProfileDetectorMatchesLiveDetector is the separation guarantee: a
-// detector rebuilt from the serialized profile produces the same report as
-// one holding the live training dataset.
+// plan built from the serialized profile's spec produces the same report
+// as the legacy detector holding the live training dataset.
 func TestProfileDetectorMatchesLiveDetector(t *testing.T) {
 	p, live := trainedFixture(t)
 	data, err := p.Marshal()
@@ -87,7 +88,7 @@ func TestProfileDetectorMatchesLiveDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromProfile := back.Detector()
+	fromProfile := detect.NewPlanFromSpec(back.Spec(), nil, nil)
 
 	target := corpus.RealWorldCases()[2].Build() // datadir wrong owner
 	liveReport, err := live.Check(target)
@@ -98,37 +99,45 @@ func TestProfileDetectorMatchesLiveDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(liveReport.Warnings) != len(profReport.Warnings) {
-		t.Fatalf("warning counts differ: live %d vs profile %d\nlive: %v\nprofile: %v",
-			len(liveReport.Warnings), len(profReport.Warnings),
-			messages(liveReport), messages(profReport))
-	}
-	for i := range liveReport.Warnings {
-		lw, pw := liveReport.Warnings[i], profReport.Warnings[i]
-		if lw.Kind != pw.Kind || lw.Attr != pw.Attr || lw.Score != pw.Score {
-			t.Fatalf("warning %d differs: %+v vs %+v", i, lw, pw)
-		}
+	if !reflect.DeepEqual(liveReport, profReport) {
+		t.Fatalf("reports differ\nlive:    %v\nprofile: %v", messages(liveReport), messages(profReport))
 	}
 }
 
-func TestViewAccessors(t *testing.T) {
-	p, _ := trainedFixture(t)
-	dt := p.Detector()
-	v := dt.Training
-	if v.Samples() != 40 {
-		t.Fatalf("samples = %d", v.Samples())
+// TestSpecMatchesDatasetSpec pins that a profile carries exactly a plan:
+// the spec of a serialized and re-read profile equals the spec
+// detect.SpecFromDataset derives from the training set it was built from.
+func TestSpecMatchesDatasetSpec(t *testing.T) {
+	p, live := trainedFixture(t)
+	data, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := v.Attr("mysql:mysqld/user"); !ok {
-		t.Fatal("user attr missing from view")
+	back, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := v.Attr("ghost"); ok {
-		t.Fatal("ghost attr should be absent")
+	if got, want := back.Spec(), detect.SpecFromDataset(live.Training, live.Rules); !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile spec differs from the dataset spec: %d/%d attrs, %d/%d rules",
+			len(got.Attrs), len(want.Attrs), len(got.Rules), len(want.Rules))
 	}
-	if v.Present("ghost") != 0 || v.Histogram("ghost") != nil {
-		t.Fatal("ghost attr should have empty stats")
-	}
-	if len(v.Attributes()) != len(p.Attrs) {
-		t.Fatal("Attributes length mismatch")
+}
+
+// TestUnmarshalRejectsInvalid: what no learned profile holds and no plan
+// can carry is a decode error, not a later panic.
+func TestUnmarshalRejectsInvalid(t *testing.T) {
+	for _, c := range []struct{ doc, want string }{
+		{`{"samples":1,"attrs":[],"rules":[null]}`, "rule 0 is null"},
+		{`{"samples":1,"attrs":[],"rules":[{"template":"owner"},null]}`, "rule 1 is null"},
+		{`{"samples":-1,"attrs":[],"rules":[]}`, "samples -1 out of range"},
+		{`{"samples":1,"attrs":[{"name":"a:x","histogram":{"v":-2}}]}`, `attribute "a:x" has a histogram count out of range`},
+		{`{"samples":1,"rules":[{"template":"owner","support":-1}]}`, "rule 0 (owner||) has a support or valid count out of range"},
+		{`{"samples":4611686018427387904}`, "out of range"},
+	} {
+		_, err := Unmarshal([]byte(c.doc))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Unmarshal(%s) = %v, want an error containing %q", c.doc, err, c.want)
+		}
 	}
 }
 

@@ -320,6 +320,64 @@ func TestProfileUploadStatusAndVersions(t *testing.T) {
 	}
 }
 
+// TestProfileUploadRejectsNullRule: a profile JSON holding a null rule is
+// refused with 400 through the loader's error instead of panicking in the
+// handler; the in-flight gauge returns to zero, nothing is registered, and
+// a valid profile upload still swaps in afterwards.
+func TestProfileUploadRejectsNullRule(t *testing.T) {
+	rec := telemetry.New()
+	d, base := startDaemon(t, serve.Options{Rec: rec})
+	resp, err := http.Post(base+"/v1/profiles/mysql", "application/json",
+		strings.NewReader(`{"samples":1,"attrs":[],"rules":[null]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "load plan: profile: rule 0 is null") {
+		t.Fatalf("null-rule upload = %d %s", resp.StatusCode, body)
+	}
+	// The gauge drops when the handler returns, which can trail the
+	// response the client has already read.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		v, ok := rec.Gauge("encore_serve_inflight_requests", "")
+		if ok && v == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight gauge = %v (set %v) after every request ended", v, ok)
+		}
+	}
+	if _, ok := d.Registry().Get("mysql"); ok {
+		t.Fatal("a rejected upload registered a plan")
+	}
+
+	imgs, err := corpus.Training("mysql", 12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := encore.New().Learn(imgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profJSON, err := json.Marshal(k.Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(base+"/v1/profiles/mysql", "application/json", bytes.NewReader(profJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid profile upload status = %d", resp.StatusCode)
+	}
+	if e, ok := d.Registry().Get("mysql"); !ok || e.Version != "v1" {
+		t.Fatalf("valid upload not swapped in: %+v", e)
+	}
+}
+
 // TestSwapAtomicityUnderRace is the hot-swap property test: while one
 // goroutine swaps between two different plans for the same app and others
 // hammer /metrics, every concurrent scan response must be consistent with

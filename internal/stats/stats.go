@@ -4,10 +4,7 @@
 // frequency (ICF) heuristic used to rank suspicious values.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // DefaultEntropyThreshold is Ht from the paper: the entropy of a two-valued
 // distribution with probabilities 0.9 and 0.1. Attributes whose value
@@ -103,23 +100,6 @@ func ICF(distinctValues, samples int) float64 {
 		return 0
 	}
 	return math.Log(1+float64(samples)) / float64(distinctValues)
-}
-
-// RankByICF sorts the given keys by descending ICF score; ties break
-// lexicographically so ranking is deterministic.
-func RankByICF(scores map[string]float64) []string {
-	keys := make([]string, 0, len(scores))
-	for k := range scores {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		si, sj := scores[keys[i]], scores[keys[j]]
-		if si != sj {
-			return si > sj
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
 }
 
 // Histogram counts occurrences of each value.

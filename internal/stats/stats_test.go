@@ -115,17 +115,6 @@ func TestICFOrdering(t *testing.T) {
 	}
 }
 
-func TestRankByICFDeterministic(t *testing.T) {
-	scores := map[string]float64{"b": 1.0, "a": 1.0, "c": 2.0}
-	got := RankByICF(scores)
-	want := []string{"c", "a", "b"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rank = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMajorityValue(t *testing.T) {
 	v, f, ok := MajorityValue([]string{"on", "on", "off"})
 	if !ok || v != "on" || !almostEqual(f, 2.0/3.0) {

@@ -361,16 +361,6 @@ func (im *Image) PortRegistered(port int) bool {
 	return false
 }
 
-// ServiceForPort returns the registered service name for a port, or "".
-func (im *Image) ServiceForPort(port int) string {
-	for _, s := range im.Services {
-		if s.Port == port {
-			return s.Name
-		}
-	}
-	return ""
-}
-
 // Accessible reports whether the named user can read the object at path,
 // applying the standard owner/group/other permission-bit semantics plus
 // root override. Missing paths or unknown users are inaccessible.

@@ -178,9 +178,6 @@ func TestServices(t *testing.T) {
 	if !im.PortRegistered(3306) || im.PortRegistered(1234) {
 		t.Fatal("port registration wrong")
 	}
-	if im.ServiceForPort(3306) != "mysql" || im.ServiceForPort(1) != "" {
-		t.Fatal("service lookup wrong")
-	}
 }
 
 func TestConfigFiles(t *testing.T) {

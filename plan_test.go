@@ -13,6 +13,15 @@ import (
 	"repro/internal/sysimage"
 )
 
+// legacyCheck is the equivalence tests' oracle: the legacy per-image
+// detector over the knowledge's live training set, wired to the
+// framework's assembler and templates exactly as CompilePlan wires the
+// plan.
+func legacyCheck(fw *Framework, k *Knowledge, img *sysimage.Image) (*detect.Report, error) {
+	dt := &detect.Detector{Training: k.Training, Rules: k.Rules, Templates: fw.Engine.Templates, Assembler: fw.Assembler}
+	return dt.Check(img)
+}
+
 // requireSameReport fails the test when the compiled plan's report differs
 // in any observable way from the legacy detector's.
 func requireSameReport(t *testing.T, label string, legacy, plan *detect.Report) {
@@ -73,7 +82,7 @@ func equivalenceTargets(t *testing.T, app string, seed int64) []*sysimage.Image 
 
 // TestPlanReportEquivalence is the compiled-plan equivalence property
 // test: across apps, seeds, and target mutations, Plan.Check must emit a
-// report identical to Framework.Check (the legacy per-image detector).
+// report identical to the legacy per-image detector's.
 func TestPlanReportEquivalence(t *testing.T) {
 	for _, app := range []string{"apache", "mysql", "php", "sshd"} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -89,7 +98,7 @@ func TestPlanReportEquivalence(t *testing.T) {
 				}
 				plan := fw.CompilePlan(k)
 				for _, img := range equivalenceTargets(t, app, seed) {
-					legacy, err := fw.Check(k, img)
+					legacy, err := legacyCheck(fw, k, img)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -129,7 +138,7 @@ func TestPlanReportEquivalenceConcurrent(t *testing.T) {
 	targets := equivalenceTargets(t, "mysql", 5)
 	legacy := make([]*detect.Report, len(targets))
 	for i, img := range targets {
-		if legacy[i], err = fw.Check(k, img); err != nil {
+		if legacy[i], err = legacyCheck(fw, k, img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +168,8 @@ func TestPlanReportEquivalenceConcurrent(t *testing.T) {
 }
 
 // TestPlanProfileEquivalence checks the profile round trip: a plan
-// compiled from a deserialized profile must reproduce CheckWithProfile.
+// compiled from a deserialized profile must reproduce the legacy detector
+// over the live knowledge the profile was exported from.
 func TestPlanProfileEquivalence(t *testing.T) {
 	training, err := corpus.Training("mysql", 12, 2)
 	if err != nil {
@@ -180,7 +190,7 @@ func TestPlanProfileEquivalence(t *testing.T) {
 	}
 	plan := fw.CompilePlanFromProfile(p)
 	for _, img := range equivalenceTargets(t, "mysql", 2) {
-		legacy, err := fw.CheckWithProfile(p, img)
+		legacy, err := legacyCheck(fw, k, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +230,7 @@ func TestPlanAugmentedEntryNameCollision(t *testing.T) {
 		Path:    "/etc/php.ini",
 		Content: "dir=/etc\ndir.exists=weird\n",
 	})
-	legacy, err := fw.Check(k, img)
+	legacy, err := legacyCheck(fw, k, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +247,8 @@ func TestPlanAugmentedEntryNameCollision(t *testing.T) {
 }
 
 // TestScanEngineMatchesPerImageCheck pins that the batch engine (which
-// runs the compiled plan) returns the same reports as per-image Check.
+// runs the compiled plan) returns the same reports as the legacy detector
+// checking each image on its own.
 func TestScanEngineMatchesPerImageCheck(t *testing.T) {
 	training, err := corpus.Training("apache", 12, 4)
 	if err != nil {
@@ -260,7 +271,7 @@ func TestScanEngineMatchesPerImageCheck(t *testing.T) {
 		if it.Err != nil {
 			t.Fatalf("%s: %v", targets[i].ID, it.Err)
 		}
-		legacy, err := fw.Check(k, targets[i])
+		legacy, err := legacyCheck(fw, k, targets[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,7 +83,26 @@ func digestSets(t *testing.T) []digestSet {
 // planDigest compiles and marshals the knowledge's plan and returns the
 // bytes with their hex SHA-256.
 func planDigest(fw *Framework, k *Knowledge) ([]byte, string) {
-	data := fw.MarshalPlan(fw.CompilePlan(k))
+	return digest(fw.MarshalPlan(fw.CompilePlan(k)))
+}
+
+// profilePlanDigest is planDigest for the plan compiled from the
+// knowledge's exported and re-read profile.
+func profilePlanDigest(t *testing.T, fw *Framework, k *Knowledge) string {
+	t.Helper()
+	raw, err := k.Profile().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := LoadProfile(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sum := digest(fw.MarshalPlan(fw.CompilePlanFromProfile(p)))
+	return sum
+}
+
+func digest(data []byte) ([]byte, string) {
 	sum := sha256.Sum256(data)
 	return data, hex.EncodeToString(sum[:])
 }
@@ -91,10 +110,11 @@ func planDigest(fw *Framework, k *Knowledge) ([]byte, string) {
 // TestLearnedPlanDigests learns every digest set with the assembler and
 // rule-engine pools at one worker and at the default, grows each
 // knowledge with AddImages, and requires the plan bytes to match the
-// recorded digests. It then learns each set a second time on the same
-// Framework after growing the first knowledge, the pattern of a
-// long-running learner, and requires the second plan to be byte-identical
-// to the first.
+// recorded digests, both for the plan compiled from the knowledge and for
+// the one compiled from its exported profile. It then learns each set a
+// second time on the same Framework after growing the first knowledge,
+// the pattern of a long-running learner, and requires the second plan to
+// be byte-identical to the first.
 func TestLearnedPlanDigests(t *testing.T) {
 	sets := digestSets(t)
 	for _, workers := range []int{1, 0} {
@@ -111,6 +131,9 @@ func TestLearnedPlanDigests(t *testing.T) {
 			if want := learnedPlanDigests[s.name+"/learn"]; got != want {
 				t.Errorf("%s: learned plan digest %s, want %s", label, got, want)
 			}
+			if got, want := profilePlanDigest(t, fw, k), learnedPlanDigests[s.name+"/learn"]; got != want {
+				t.Errorf("%s: learned profile plan digest %s, want %s", label, got, want)
+			}
 			for i := 0; i < len(s.deltas); i += 4 {
 				if err := fw.AddImages(k, s.deltas[i:i+4]...); err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -118,6 +141,9 @@ func TestLearnedPlanDigests(t *testing.T) {
 			}
 			if _, got := planDigest(fw, k); got != learnedPlanDigests[s.name+"/grown"] {
 				t.Errorf("%s: grown plan digest %s, want %s", label, got, learnedPlanDigests[s.name+"/grown"])
+			}
+			if got := profilePlanDigest(t, fw, k); got != learnedPlanDigests[s.name+"/grown"] {
+				t.Errorf("%s: grown profile plan digest %s, want %s", label, got, learnedPlanDigests[s.name+"/grown"])
 			}
 			again, err := fw.Learn(s.train)
 			if err != nil {
