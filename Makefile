@@ -186,6 +186,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='^Benchmark(AssembleTraining|Learn)$$' -benchtime 1x -benchmem . >/dev/null
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
 	$(GO) test -run '^$$' -bench=LoadJSON -benchtime 1x -benchmem ./internal/sysimage >/dev/null
+	$(GO) test -run '^$$' -bench=RecorderUpdates -benchtime 1x -benchmem ./internal/telemetry >/dev/null
 	@echo "bench-smoke: benchmarks build and run OK"
 
 # Short fuzz pass over each config-parser dialect (against the parsers as

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -181,5 +182,56 @@ func TestBatchScanRejectsBadParams(t *testing.T) {
 	}
 	if status, lines, _ := postBatch(t, base+"/v1/scan/mysql/batch?workers=64&shards=4", healthy); status != http.StatusOK || len(lines) != 1 {
 		t.Fatalf("in-range parameters: status = %d, %d lines", status, len(lines))
+	}
+}
+
+// TestHandlerPanicLowersInflightGauge: net/http recovers a panicking
+// handler by dropping the connection, and the in-flight gauge must still
+// come back down, or one bad request would leave it raised for good.
+func TestHandlerPanicLowersInflightGauge(t *testing.T) {
+	rec := telemetry.New()
+	d, base := startDaemon(t, serve.Options{Rec: rec, ScanHook: func(string) { panic("scan hook") }})
+	if _, err := d.Registry().Register("mysql", "", buildPlan(t, "mysql", 12, 3), "test"); err != nil {
+		t.Fatal(err)
+	}
+	_, healthy := craftedImages(t)
+	if resp, err := http.Post(base+"/v1/scan/mysql", "application/json", bytes.NewReader(healthy)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a panicking handler answered %d; want the connection dropped", resp.StatusCode)
+	}
+	// The server closes the connection only after the handler's deferred
+	// calls ran, so the gauge is already down when the client sees EOF.
+	if g, ok := rec.Gauge("encore_serve_inflight_requests", ""); !ok || g != 0 {
+		t.Fatalf("in-flight gauge = %v (set %v) after the panicking request, want 0", g, ok)
+	}
+}
+
+// TestUnknownAppsShareOneSeries: the request counter's app label comes
+// from the URL, which anyone can vary, so requests for apps with no
+// registered plan all count under app="" instead of minting a series per
+// name.
+func TestUnknownAppsShareOneSeries(t *testing.T) {
+	rec := telemetry.New()
+	_, base := startDaemon(t, serve.Options{Rec: rec})
+	const n = 40
+	for i := 0; i < n; i++ {
+		resp, err := http.Post(fmt.Sprintf("%s/v1/scan/app%d", base, i), "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("unknown app %d: status %d, want 404", i, resp.StatusCode)
+		}
+	}
+	var series []telemetry.LabeledValue
+	for _, c := range rec.Snapshot().LabeledCounters {
+		if c.Family == "encore_serve_requests_total" {
+			series = append(series, c)
+		}
+	}
+	want := telemetry.LabeledValue{Family: "encore_serve_requests_total", Labels: telemetry.L("app", "", "code", "404"), Value: n}
+	if len(series) != 1 || series[0] != want {
+		t.Fatalf("request series after %d unknown apps = %+v, want only %+v", n, series, want)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -108,15 +107,7 @@ func New(opts Options) (*Daemon, error) {
 	mux.HandleFunc("GET /v1/alerts", d.instrument("alerts", d.handleAlerts))
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /readyz", d.handleReadyz)
-	mux.HandleFunc("GET /metrics", d.handleMetrics)
-	mux.HandleFunc("GET /snapshot", d.handleSnapshot)
-	// Explicit pprof registration; the daemon must not touch the global
-	// DefaultServeMux.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	telemetry.Mount(mux, d.rec)
 
 	d.srv = &http.Server{
 		Handler:           mux,
@@ -228,9 +219,9 @@ type reqCtx struct {
 
 // instrument wraps an app-scoped API handler with the request
 // observability envelope: request-ID resolution and echo, a root span
-// carrying (endpoint, app, request id), the in-flight gauge, the
-// per-(app, code) request counter, and a span-correlated access log
-// record.
+// carrying (endpoint, app, request id), the in-flight gauge (lowered even
+// when the handler panics), the per-(app, code) request counter, and a
+// span-correlated access log record.
 func (d *Daemon) instrument(name string, h func(http.ResponseWriter, *http.Request, *reqCtx)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rc := &reqCtx{ID: d.requestID(r), App: r.PathValue("app")}
@@ -240,16 +231,24 @@ func (d *Daemon) instrument(name string, h func(http.ResponseWriter, *http.Reque
 			telemetry.A("app", rc.App),
 			telemetry.A("method", r.Method))
 		d.rec.SetGauge("encore_serve_inflight_requests", "", float64(d.inflight.Add(1)))
+		defer func() {
+			d.rec.SetGauge("encore_serve_inflight_requests", "", float64(d.inflight.Add(-1)))
+		}()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 
 		h(sw, r, rc)
 
 		elapsed := time.Since(start)
-		d.rec.SetGauge("encore_serve_inflight_requests", "", float64(d.inflight.Add(-1)))
 		code := strconv.Itoa(sw.status)
+		// The app label comes from the URL, so only apps with a registered
+		// plan get their own series: any other path value would mint one.
+		appLabel := rc.App
+		if _, ok := d.reg.Get(appLabel); !ok {
+			appLabel = ""
+		}
 		d.rec.AddLabeled("encore_serve_requests_total",
-			telemetry.L("app", rc.App, "code", code), 1)
+			telemetry.L("app", appLabel, "code", code), 1)
 		rc.Span.SetAttr("code", code)
 		rc.Span.End()
 		lvl := slog.LevelInfo
@@ -569,19 +568,4 @@ func (d *Daemon) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	default:
 		json.NewEncoder(w).Encode(map[string]any{"status": "ready", "apps": d.reg.Len()})
 	}
-}
-
-func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, d.rec.Snapshot().PromText())
-}
-
-func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := d.rec.Snapshot().JSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }

@@ -191,7 +191,7 @@ func TestScanEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`encore_serve_requests_total{app="mysql",code="200"} 3`,
 		`encore_serve_requests_total{app="mysql",code="400"} 2`,
-		`encore_serve_requests_total{app="nope",code="404"} 1`,
+		`encore_serve_requests_total{app="",code="404"} 1`,
 		`encore_serve_scan_seconds_count{app="mysql"} 3`,
 		`encore_serve_findings_total{app="mysql",severity=`,
 		`encore_serve_plans_loaded 1`,
@@ -620,6 +620,12 @@ func TestDaemonCloseNoGoroutineLeak(t *testing.T) {
 	}
 	if _, body := getBody(t, base+"/metrics"); !bytes.Contains(body, []byte("encore_serve_scan_seconds_count")) {
 		t.Fatal("metrics missing scan histogram before close")
+	}
+	if code, body := getBody(t, base+"/snapshot"); code != http.StatusOK || !bytes.Contains(body, []byte(`"labeledHistograms"`)) {
+		t.Fatalf("/snapshot = %d %.200s", code, body)
+	}
+	if code, body := getBody(t, base+"/debug/pprof/"); code != http.StatusOK || !bytes.Contains(body, []byte("goroutine")) {
+		t.Fatalf("/debug/pprof/ = %d %.200s", code, body)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -49,6 +50,32 @@ func exportFixture() Snapshot {
 		{HeapBytes: 3 << 20, GCPauseTotal: 260 * time.Microsecond, GCCycles: 2, Goroutines: 10, ProgressDone: 4, ProgressTotal: 4},
 	}
 	return s.NormalizeTimes(1000 * time.Microsecond)
+}
+
+// NormalizeTimes returns a copy of the snapshot with every span rewritten
+// onto a synthetic clock — span i (in the snapshot's deterministic order)
+// starts at i*step and lasts step — every stage total zeroed, and every
+// runtime sample's offset rewritten to i*step. Counter values, histogram
+// contents, span names/ids/attrs, the tree shape, and the sampled gauge
+// values are preserved. Golden tests use this to strip the only
+// nondeterministic inputs (wall-clock readings) from exported documents.
+func (s Snapshot) NormalizeTimes(step time.Duration) Snapshot {
+	out := s
+	out.Stages = append([]StageTiming(nil), s.Stages...)
+	for i := range out.Stages {
+		out.Stages[i].Total = 0
+	}
+	out.Spans = append([]SpanData(nil), s.Spans...)
+	sort.Slice(out.Spans, func(i, j int) bool { return out.Spans[i].ID < out.Spans[j].ID })
+	for i := range out.Spans {
+		out.Spans[i].Start = time.Duration(i) * step
+		out.Spans[i].Dur = step
+	}
+	out.Runtime = append([]RuntimeSample(nil), s.Runtime...)
+	for i := range out.Runtime {
+		out.Runtime[i].At = time.Duration(i) * step
+	}
+	return out
 }
 
 func checkGolden(t *testing.T, got []byte, name string) {

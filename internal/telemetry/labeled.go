@@ -1,23 +1,21 @@
-// Labeled metric families for long-running services. The flat pipeline
-// counters and histograms in telemetry.go describe one batch run; a
-// resident daemon additionally needs families broken out by label —
-// requests by (app, code), scan latency by app, findings by (app,
-// severity), registry gauges by app. A labeled family is identified by
-// its full Prometheus exposition name (e.g. "encore_serve_requests_total")
-// plus a pre-rendered label string built with L, so the hot path does one
-// map lookup per update and rendering is a straight copy.
+// Labeled series for long-running services. A resident daemon needs
+// families broken out by label — requests by (app, code), scan latency by
+// app, findings by (app, severity), registry gauges by app — beside the
+// flat pipeline counters and histograms that describe one batch run. Both
+// live in the recorder's one family table (telemetry.go): a labeled family
+// is keyed by its full Prometheus exposition name (e.g.
+// "encore_serve_requests_total"), and each of its series by a
+// pre-rendered label string built with L, so an update is one family
+// lookup and one series lookup, and rendering is a straight copy.
 //
-// Labeled families ride along in snapshots: PromText renders them as
-// first-class Prometheus families (histograms with labeled
+// Snapshots list labeled series in their own sections: PromText renders
+// them as first-class Prometheus families (histograms with labeled
 // _bucket/_sum/_count series), the JSON export appends them as optional
 // sections (absent when empty, so pre-existing goldens are unaffected),
 // and Render lists them after the flat sections.
 package telemetry
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // L renders a label set into its canonical exposition form:
 //
@@ -67,88 +65,39 @@ func L(kv ...string) string {
 	return string(out)
 }
 
-// labeled is the recorder's store for labeled families, lazily allocated
-// on first use so batch pipelines that never touch labels pay nothing.
-type labeled struct {
-	counters map[string]map[string]int64
-	gauges   map[string]map[string]float64
-	hists    map[string]map[string]*Histogram
-}
-
-// labeledStore returns the recorder's labeled store, allocating it on
-// first use. Callers hold r.mu.
-func (r *Recorder) labeledStore() *labeled {
-	if r.labels == nil {
-		r.labels = &labeled{
-			counters: make(map[string]map[string]int64),
-			gauges:   make(map[string]map[string]float64),
-			hists:    make(map[string]map[string]*Histogram),
-		}
+// seriesName renders one series as name{labels}, or as the bare name for
+// the unlabeled series; Render and PromText both print series through it.
+func seriesName(name, labels string) string {
+	if labels == "" {
+		return name
 	}
-	return r.labels
+	return name + "{" + labels + "}"
 }
 
 // AddLabeled increments one series of a labeled counter family. family is
 // the full exposition name ("encore_serve_requests_total"); labels is a
 // canonical label string from L. Safe on a nil recorder.
 func (r *Recorder) AddLabeled(family, labels string, n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	st := r.labeledStore()
-	m := st.counters[family]
-	if m == nil {
-		m = make(map[string]int64)
-		st.counters[family] = m
-	}
-	m[labels] += n
-	r.mu.Unlock()
+	r.update(family, kindLabeledCounter, labels, func(s *series) { s.n += n })
 }
 
 // LabeledCounter reads one series of a labeled counter family (0 when the
 // series was never incremented, or on a nil recorder).
-func (r *Recorder) LabeledCounter(family, labels string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.labels == nil {
-		return 0
-	}
-	return r.labels.counters[family][labels]
+func (r *Recorder) LabeledCounter(family, labels string) (v int64) {
+	r.read(family, kindLabeledCounter, labels, func(s *series) { v = s.n })
+	return v
 }
 
 // SetGauge sets one series of a labeled gauge family to an absolute
 // value (use labels == "" for an unlabeled gauge). Safe on a nil
 // recorder.
 func (r *Recorder) SetGauge(family, labels string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	st := r.labeledStore()
-	m := st.gauges[family]
-	if m == nil {
-		m = make(map[string]float64)
-		st.gauges[family] = m
-	}
-	m[labels] = v
-	r.mu.Unlock()
+	r.update(family, kindGauge, labels, func(s *series) { s.v = v })
 }
 
 // Gauge reads one series of a labeled gauge family.
-func (r *Recorder) Gauge(family, labels string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.labels == nil {
-		return 0, false
-	}
-	v, ok := r.labels.gauges[family][labels]
+func (r *Recorder) Gauge(family, labels string) (v float64, ok bool) {
+	r.read(family, kindGauge, labels, func(s *series) { v, ok = s.v, true })
 	return v, ok
 }
 
@@ -157,41 +106,14 @@ func (r *Recorder) Gauge(family, labels string) (float64, bool) {
 // ("encore_serve_scan_seconds" — PromText derives the _bucket/_sum/_count
 // series from it). Safe on a nil recorder.
 func (r *Recorder) ObserveLabeled(family, labels string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	st := r.labeledStore()
-	m := st.hists[family]
-	if m == nil {
-		m = make(map[string]*Histogram)
-		st.hists[family] = m
-	}
-	h := m[labels]
-	if h == nil {
-		h = &Histogram{}
-		m[labels] = h
-	}
-	h.Observe(d)
-	r.mu.Unlock()
+	r.update(family, kindLabeledHistogram, labels, func(s *series) { s.hist.Observe(d) })
 }
 
 // LabeledHistogram snapshots one series of a labeled histogram family
 // (quantiles included); ok is false when the series has no samples.
-func (r *Recorder) LabeledHistogram(family, labels string) (HistogramData, bool) {
-	if r == nil {
-		return HistogramData{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.labels == nil {
-		return HistogramData{}, false
-	}
-	h := r.labels.hists[family][labels]
-	if h == nil {
-		return HistogramData{}, false
-	}
-	return h.data(family), true
+func (r *Recorder) LabeledHistogram(family, labels string) (d HistogramData, ok bool) {
+	r.read(family, kindLabeledHistogram, labels, func(s *series) { d, ok = s.hist.data(family), true })
+	return d, ok
 }
 
 // LabeledValue is one series of a labeled counter family in a snapshot.
@@ -214,45 +136,4 @@ type LabeledHistogramData struct {
 	Family string
 	Labels string
 	Data   HistogramData
-}
-
-// snapshotLabeled copies the labeled families into the snapshot, sorted
-// by (family, labels). Callers hold r.mu.
-func (r *Recorder) snapshotLabeled(s *Snapshot) {
-	if r.labels == nil {
-		return
-	}
-	for family, series := range r.labels.counters {
-		for labels, v := range series {
-			s.LabeledCounters = append(s.LabeledCounters, LabeledValue{Family: family, Labels: labels, Value: v})
-		}
-	}
-	for family, series := range r.labels.gauges {
-		for labels, v := range series {
-			s.Gauges = append(s.Gauges, GaugeValue{Family: family, Labels: labels, Value: v})
-		}
-	}
-	for family, series := range r.labels.hists {
-		for labels, h := range series {
-			s.LabeledHistograms = append(s.LabeledHistograms, LabeledHistogramData{Family: family, Labels: labels, Data: h.data(family)})
-		}
-	}
-	sort.Slice(s.LabeledCounters, func(i, j int) bool {
-		if s.LabeledCounters[i].Family != s.LabeledCounters[j].Family {
-			return s.LabeledCounters[i].Family < s.LabeledCounters[j].Family
-		}
-		return s.LabeledCounters[i].Labels < s.LabeledCounters[j].Labels
-	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		if s.Gauges[i].Family != s.Gauges[j].Family {
-			return s.Gauges[i].Family < s.Gauges[j].Family
-		}
-		return s.Gauges[i].Labels < s.Gauges[j].Labels
-	})
-	sort.Slice(s.LabeledHistograms, func(i, j int) bool {
-		if s.LabeledHistograms[i].Family != s.LabeledHistograms[j].Family {
-			return s.LabeledHistograms[i].Family < s.LabeledHistograms[j].Family
-		}
-		return s.LabeledHistograms[i].Labels < s.LabeledHistograms[j].Labels
-	})
 }

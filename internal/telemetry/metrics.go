@@ -1,10 +1,9 @@
 // Prometheus text exposition (format version 0.0.4) rendered live from a
 // recorder snapshot. The naming scheme:
 //
-//   - pipeline counters become "encore_*_total" counters — the well-known
-//     counters get curated idiomatic names (scan.images.scanned ->
-//     encore_scan_images_total), everything else falls back to
-//     "encore_<sanitized>_total";
+//   - pipeline counters become "encore_<sanitized>_total" counters, except
+//     the few with curated idiomatic names (scan.images.scanned ->
+//     encore_scan_images_total);
 //   - stage timers become two counter families keyed by a "stage" label,
 //     encore_stage_seconds_total and encore_stage_runs_total;
 //   - log2 latency histograms become classic Prometheus histograms in
@@ -15,7 +14,9 @@
 //     (encore_heap_bytes, encore_goroutines, encore_progress_done/_total)
 //     and cumulative GC counters;
 //   - the current pipeline phase is an info-style gauge,
-//     encore_phase{phase="..."} 1.
+//     encore_phase{phase="..."} 1;
+//   - labeled families render under their own names, each series as
+//     name{labels}, the unlabeled one without braces.
 //
 // Families render sorted by metric name, so equal snapshots render to
 // equal bytes.
@@ -29,29 +30,15 @@ import (
 	"strings"
 )
 
-// promCounterNames maps the pipeline counter constants to idiomatic
-// Prometheus metric names. Counters not listed here are exposed under the
-// generic sanitized fallback.
+// promCounterNames maps the pipeline counters whose idiomatic Prometheus
+// names differ from the generic sanitized fallback, which every other
+// counter is exposed under.
 var promCounterNames = map[string]string{
-	CounterImagesParsed:          "encore_assemble_images_parsed_total",
-	CounterFilesParsed:           "encore_assemble_files_parsed_total",
-	CounterAttrsDeclared:         "encore_assemble_attributes_declared_total",
-	CounterRulesValidated:        "encore_rules_candidates_validated_total",
-	CounterRulesKept:             "encore_rules_kept_total",
-	CounterRulesPrunedSupport:    "encore_rules_pruned_support_total",
-	CounterRulesPrunedEntropy:    "encore_rules_pruned_entropy_total",
-	CounterRulesDeltaReused:      "encore_rules_delta_reused_total",
-	CounterRulesDeltaRevalidated: "encore_rules_delta_revalidated_total",
-	CounterPlanEncoded:           "encore_plan_encoded_total",
-	CounterPlanEncodedBytes:      "encore_plan_encoded_bytes_total",
-	CounterPlanLoaded:            "encore_plan_loaded_total",
-	CounterPlanLoadedBytes:       "encore_plan_loaded_bytes_total",
-	CounterImagesScanned:         "encore_scan_images_total",
-	CounterFindingsEmitted:       "encore_scan_findings_total",
-	CounterScanErrors:            "encore_scan_errors_total",
-	CounterMatrixCells:           "encore_evalmatrix_cells_total",
-	CounterMatrixInjections:      "encore_evalmatrix_injections_total",
-	CounterMatrixFindings:        "encore_evalmatrix_findings_total",
+	CounterImagesScanned:    "encore_scan_images_total",
+	CounterFindingsEmitted:  "encore_scan_findings_total",
+	CounterMatrixCells:      "encore_evalmatrix_cells_total",
+	CounterMatrixInjections: "encore_evalmatrix_injections_total",
+	CounterMatrixFindings:   "encore_evalmatrix_findings_total",
 }
 
 // promSanitize rewrites an internal dotted name into a metric-name-safe
@@ -97,16 +84,8 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// promEscapeLabel escapes a label value per the exposition format.
-func promEscapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
-}
-
-// appendEscapedLabel is promEscapeLabel for hot paths: it appends the
-// escaped value to dst without intermediate strings (clean values — the
+// appendEscapedLabel appends a label value to dst escaped per the
+// exposition format, without intermediate strings (clean values — the
 // overwhelmingly common case — are a straight copy).
 func appendEscapedLabel(dst []byte, v string) []byte {
 	for i := 0; i < len(v); i++ {
@@ -164,138 +143,102 @@ type promFamily struct {
 	lines           []string
 }
 
-func (f *promFamily) addf(format string, args ...any) {
-	f.lines = append(f.lines, fmt.Sprintf(format, args...))
+// sample appends one sample line: name+suffix{labels} value.
+func (f *promFamily) sample(suffix, labels, value string) {
+	f.lines = append(f.lines, seriesName(f.name+suffix, labels)+" "+value)
+}
+
+// histogram appends one histogram series in seconds: cumulative _bucket
+// lines with an le label after the series' own labels, ending at
+// le="+Inf", then _sum and _count.
+func (f *promFamily) histogram(labels string, h HistogramData) {
+	le := func(bound string) string {
+		if labels == "" {
+			return `le="` + bound + `"`
+		}
+		return labels + `,le="` + bound + `"`
+	}
+	var cum uint64
+	for _, b := range h.Buckets {
+		if b.Upper == bucketUpper(histBuckets) {
+			// The overflow bucket has no finite bound; its samples land
+			// in the +Inf series below.
+			continue
+		}
+		cum += b.Count
+		f.sample("_bucket", le(promFloat(b.Upper.Seconds())), strconv.FormatUint(cum, 10))
+	}
+	f.sample("_bucket", le("+Inf"), strconv.FormatUint(h.Count, 10))
+	f.sample("_sum", labels, promFloat(h.Sum.Seconds()))
+	f.sample("_count", labels, strconv.FormatUint(h.Count, 10))
 }
 
 // PromText renders the snapshot in the Prometheus text exposition format,
 // version 0.0.4. The output is deterministic for a given snapshot: metric
 // families sort by name and every sample line within a family keeps
-// insertion order (bucket bounds ascending, stages sorted by name).
+// insertion order (bucket bounds ascending, series and stages sorted).
 func (s Snapshot) PromText() string {
 	var families []*promFamily
-	add := func(name, help, typ string) *promFamily {
+	// family returns the family to append to: the last one when it has
+	// this name (a family's series arrive contiguously), else a new one.
+	family := func(name, help, typ string) *promFamily {
+		if n := len(families); n > 0 && families[n-1].name == name {
+			return families[n-1]
+		}
 		f := &promFamily{name: name, help: help, typ: typ}
 		families = append(families, f)
 		return f
 	}
 
 	if s.Phase != "" {
-		f := add("encore_phase", "Current pipeline phase.", "gauge")
-		f.addf(`encore_phase{phase="%s"} 1`, promEscapeLabel(s.Phase))
+		family("encore_phase", "Current pipeline phase.", "gauge").sample("", L("phase", s.Phase), "1")
 	}
-
 	if s.BuildVersion != "" {
-		f := add("encore_build_info", promLabeledHelpFor("encore_build_info", "Build metadata."), "gauge")
-		f.addf(`encore_build_info{go_version="%s",version="%s"} 1`,
-			promEscapeLabel(s.GoVersion), promEscapeLabel(s.BuildVersion))
+		family("encore_build_info", promLabeledHelpFor("encore_build_info", "Build metadata."), "gauge").
+			sample("", L("go_version", s.GoVersion, "version", s.BuildVersion), "1")
 	}
-
-	// Labeled families (see labeled.go): the snapshot's (family, labels)
-	// sort order groups every family's series contiguously, so one pass
-	// opens a family per name change.
-	var cur *promFamily
 	for _, c := range s.LabeledCounters {
-		if cur == nil || cur.name != c.Family {
-			cur = add(c.Family, promLabeledHelpFor(c.Family, "Labeled counter "+c.Family+"."), "counter")
-		}
-		if c.Labels == "" {
-			cur.addf("%s %d", c.Family, c.Value)
-			continue
-		}
-		cur.addf("%s{%s} %d", c.Family, c.Labels, c.Value)
+		family(c.Family, promLabeledHelpFor(c.Family, "Labeled counter "+c.Family+"."), "counter").
+			sample("", c.Labels, strconv.FormatInt(c.Value, 10))
 	}
-	cur = nil
 	for _, g := range s.Gauges {
-		if cur == nil || cur.name != g.Family {
-			cur = add(g.Family, promLabeledHelpFor(g.Family, "Labeled gauge "+g.Family+"."), "gauge")
-		}
-		if g.Labels == "" {
-			cur.addf("%s %s", g.Family, promFloat(g.Value))
-			continue
-		}
-		cur.addf("%s{%s} %s", g.Family, g.Labels, promFloat(g.Value))
+		family(g.Family, promLabeledHelpFor(g.Family, "Labeled gauge "+g.Family+"."), "gauge").
+			sample("", g.Labels, promFloat(g.Value))
 	}
-	cur = nil
-	for _, lh := range s.LabeledHistograms {
-		if cur == nil || cur.name != lh.Family {
-			cur = add(lh.Family, promLabeledHelpFor(lh.Family, "Labeled latency histogram "+lh.Family+" (seconds)."), "histogram")
-		}
-		h := lh.Data
-		sep := ""
-		if lh.Labels != "" {
-			sep = ","
-		}
-		var cum uint64
-		for _, b := range h.Buckets {
-			if b.Upper == bucketUpper(histBuckets) {
-				continue
-			}
-			cum += b.Count
-			cur.addf(`%s_bucket{%s%sle="%s"} %d`, lh.Family, lh.Labels, sep, promFloat(b.Upper.Seconds()), cum)
-		}
-		cur.addf(`%s_bucket{%s%sle="+Inf"} %d`, lh.Family, lh.Labels, sep, h.Count)
-		if lh.Labels == "" {
-			cur.addf("%s_sum %s", lh.Family, promFloat(h.Sum.Seconds()))
-			cur.addf("%s_count %d", lh.Family, h.Count)
-		} else {
-			cur.addf("%s_sum{%s} %s", lh.Family, lh.Labels, promFloat(h.Sum.Seconds()))
-			cur.addf("%s_count{%s} %d", lh.Family, lh.Labels, h.Count)
-		}
+	for _, h := range s.LabeledHistograms {
+		family(h.Family, promLabeledHelpFor(h.Family, "Labeled latency histogram "+h.Family+" (seconds)."), "histogram").
+			histogram(h.Labels, h.Data)
 	}
-
 	for _, c := range s.Counters {
 		name := promCounterName(c.Name)
-		f := add(name, "Pipeline counter "+c.Name+".", "counter")
-		f.addf("%s %d", name, c.Value)
+		family(name, "Pipeline counter "+c.Name+".", "counter").sample("", "", strconv.FormatInt(c.Value, 10))
 	}
-
-	if len(s.Stages) > 0 {
-		secs := add("encore_stage_seconds_total", "Accumulated wall-clock time per pipeline stage.", "counter")
-		runs := add("encore_stage_runs_total", "Recorded runs per pipeline stage.", "counter")
-		for _, st := range s.Stages {
-			label := promEscapeLabel(st.Name)
-			secs.addf(`encore_stage_seconds_total{stage="%s"} %s`, label, promFloat(st.Total.Seconds()))
-			runs.addf(`encore_stage_runs_total{stage="%s"} %d`, label, st.Runs)
-		}
+	for _, st := range s.Stages {
+		family("encore_stage_seconds_total", "Accumulated wall-clock time per pipeline stage.", "counter").
+			sample("", L("stage", st.Name), promFloat(st.Total.Seconds()))
 	}
-
+	for _, st := range s.Stages {
+		family("encore_stage_runs_total", "Recorded runs per pipeline stage.", "counter").
+			sample("", L("stage", st.Name), strconv.FormatInt(st.Runs, 10))
+	}
 	for _, h := range s.Histograms {
-		name := promHistName(h.Name)
-		f := add(name, "Latency histogram "+h.Name+" (seconds).", "histogram")
-		var cum uint64
-		for _, b := range h.Buckets {
-			if b.Upper == bucketUpper(histBuckets) {
-				// The overflow bucket has no finite bound; its samples land
-				// in the +Inf series below.
-				continue
-			}
-			cum += b.Count
-			f.addf(`%s_bucket{le="%s"} %d`, name, promFloat(b.Upper.Seconds()), cum)
-		}
-		f.addf(`%s_bucket{le="+Inf"} %d`, name, h.Count)
-		f.addf("%s_sum %s", name, promFloat(h.Sum.Seconds()))
-		f.addf("%s_count %d", name, h.Count)
+		family(promHistName(h.Name), "Latency histogram "+h.Name+" (seconds).", "histogram").histogram("", h)
 	}
 
 	if n := len(s.Runtime); n > 0 {
 		latest := s.Runtime[n-1]
-		gauge := func(name, help string, value string) {
-			add(name, help, "gauge").addf("%s %s", name, value)
-		}
-		gauge("encore_heap_bytes", "Heap bytes in use (runtime.MemStats.HeapAlloc) at the last sample.", strconv.FormatUint(latest.HeapBytes, 10))
-		gauge("encore_goroutines", "Live goroutines at the last sample.", strconv.Itoa(latest.Goroutines))
-		add("encore_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter").
-			addf("encore_gc_pause_seconds_total %s", promFloat(latest.GCPauseTotal.Seconds()))
-		add("encore_gc_cycles_total", "Completed GC cycles.", "counter").
-			addf("encore_gc_cycles_total %d", latest.GCCycles)
+		one := func(name, help, typ, value string) { family(name, help, typ).sample("", "", value) }
+		one("encore_heap_bytes", "Heap bytes in use (runtime.MemStats.HeapAlloc) at the last sample.", "gauge", strconv.FormatUint(latest.HeapBytes, 10))
+		one("encore_goroutines", "Live goroutines at the last sample.", "gauge", strconv.Itoa(latest.Goroutines))
+		one("encore_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter", promFloat(latest.GCPauseTotal.Seconds()))
+		one("encore_gc_cycles_total", "Completed GC cycles.", "counter", strconv.FormatUint(uint64(latest.GCCycles), 10))
 		if latest.ProgressTotal > 0 {
-			gauge("encore_progress_done", "Batch units finished.", strconv.FormatInt(latest.ProgressDone, 10))
-			gauge("encore_progress_total", "Batch units expected.", strconv.FormatInt(latest.ProgressTotal, 10))
+			one("encore_progress_done", "Batch units finished.", "gauge", strconv.FormatInt(latest.ProgressDone, 10))
+			one("encore_progress_total", "Batch units expected.", "gauge", strconv.FormatInt(latest.ProgressTotal, 10))
 		}
-		gauge("encore_runtime_samples", "Runtime samples held in the ring buffer.", strconv.Itoa(n))
+		one("encore_runtime_samples", "Runtime samples held in the ring buffer.", "gauge", strconv.Itoa(n))
 		if s.SampleEvery > 0 {
-			gauge("encore_runtime_sample_interval_seconds", "Runtime sampler cadence.", promFloat(s.SampleEvery.Seconds()))
+			one("encore_runtime_sample_interval_seconds", "Runtime sampler cadence.", "gauge", promFloat(s.SampleEvery.Seconds()))
 		}
 	}
 

@@ -187,21 +187,3 @@ func (s *Sampler) Samples() []RuntimeSample {
 	out = append(out, s.ring[:s.next]...)
 	return out
 }
-
-// Latest returns the most recent sample. ok is false when no sample has
-// been taken yet or the sampler is nil.
-func (s *Sampler) Latest() (sample RuntimeSample, ok bool) {
-	if s == nil {
-		return RuntimeSample{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.next == 0 && !s.filled {
-		return RuntimeSample{}, false
-	}
-	i := s.next - 1
-	if i < 0 {
-		i = len(s.ring) - 1
-	}
-	return s.ring[i], true
-}

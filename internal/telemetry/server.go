@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,12 +13,10 @@ import (
 )
 
 // Server is the live observability endpoint for a running pipeline. It
-// serves, rendered fresh from the attached recorder on every request:
+// serves, rendered fresh from the attached recorder on every request, the
+// endpoints of Mount plus:
 //
-//	/metrics        Prometheus text exposition (format 0.0.4)
 //	/healthz        JSON readiness document with the current phase
-//	/snapshot       the versioned JSON telemetry snapshot (live)
-//	/debug/pprof/   the standard runtime profiling endpoints
 //
 // NewServer binds and serves in the background; Close shuts down
 // gracefully — in-flight handlers drain, idle connections close, and the
@@ -44,6 +43,38 @@ const (
 	IdleTimeout       = 2 * time.Minute
 )
 
+// Mount registers a recorder's read-only endpoints on mux, each rendered
+// fresh from the recorder per request:
+//
+//	GET /metrics    Prometheus text exposition (format 0.0.4)
+//	GET /snapshot   the versioned JSON telemetry snapshot (live)
+//	/debug/pprof/   the standard runtime profiling endpoints
+//
+// The live metrics Server and the scan daemon both serve through it. The
+// pprof handlers are registered on mux explicitly instead of importing
+// net/http/pprof for its side effect on http.DefaultServeMux: a server
+// must not mutate global state.
+func Mount(mux *http.ServeMux, rec *Recorder) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		io.WriteString(w, rec.Snapshot().PromText())
+	})
+	mux.HandleFunc("GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
+		data, err := rec.Snapshot().JSON()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
 // NewServer starts serving the recorder's live state on addr (host:port;
 // ":0" picks a free port, see Addr).
 func NewServer(addr string, rec *Recorder) (*Server, error) {
@@ -58,17 +89,8 @@ func NewServer(addr string, rec *Recorder) (*Server, error) {
 		done:  make(chan struct{}),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	Mount(mux, rec)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
-	// The pprof handlers are registered explicitly on this mux instead of
-	// importing net/http/pprof for its side effect on http.DefaultServeMux:
-	// the server must not mutate global state.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: ReadHeaderTimeout,
@@ -114,11 +136,6 @@ func (s *Server) Close() error {
 	return s.err
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.rec.Snapshot().PromText())
-}
-
 // healthDoc is the /healthz readiness document.
 type healthDoc struct {
 	Status        string  `json:"status"`
@@ -134,14 +151,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	json.NewEncoder(w).Encode(doc)
-}
-
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := s.rec.Snapshot().JSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }

@@ -85,6 +85,18 @@ func TestServerEndpoints(t *testing.T) {
 	if pprofIdx, _ := get(t, srv, "/debug/pprof/"); !strings.Contains(pprofIdx, "goroutine") {
 		t.Fatalf("/debug/pprof/ index unexpected:\n%.200s", pprofIdx)
 	}
+
+	// Mount registers the read-only endpoints for GET only.
+	for _, path := range []string{"/metrics", "/snapshot"} {
+		resp, err := http.Post("http://"+srv.Addr()+path, "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("POST %s: status %d, want 405", path, resp.StatusCode)
+		}
+	}
 }
 
 // TestServerCloseIdempotent checks Close is safe to repeat and on nil.

@@ -1,6 +1,7 @@
 // Package telemetry is the observability layer threaded through the
-// assembly, rule-inference, scan, and evaluation pipelines. It records
-// four kinds of signal:
+// assembly, rule-inference, scan, and evaluation pipelines and the scan
+// daemon. A Recorder keeps one table of metric families keyed by name,
+// each of one kind:
 //
 //   - named counters (images parsed, attributes declared, rules
 //     validated, findings emitted),
@@ -9,15 +10,19 @@
 //   - log-bucketed latency histograms with quantile estimation — the
 //     unit of timing truth for per-image parse, per-image scan, and
 //     per-candidate validation latencies (see histogram.go),
-//   - hierarchical spans with attributes (image name, worker id, app),
-//     exportable as a Chrome trace_event timeline (see span.go,
-//     trace.go).
+//   - labeled counters, gauges and latency histograms for resident
+//     services (see labeled.go),
+//
+// and, beside the table, hierarchical spans with attributes (image name,
+// worker id, app), exportable as a Chrome trace_event timeline (see
+// span.go, trace.go).
 //
 // A Recorder is safe for concurrent use — pipeline workers update it while
 // running — and every method is nil-receiver safe, so instrumented code
 // can call it unconditionally and pay nothing when telemetry is off.
-// Snapshots export as deterministic text (Render), a versioned JSON
-// document (JSON/WriteJSON), or a Chrome trace (ChromeTrace).
+// Snapshots export as deterministic text (Render), Prometheus text
+// (PromText), a versioned JSON document (JSON/WriteJSON), or a Chrome
+// trace (ChromeTrace); Mount serves the live ones over HTTP.
 package telemetry
 
 import (
@@ -89,16 +94,17 @@ const (
 // original counter/stage names keep their historical alignment.
 const minRenderPad = 36
 
-// Recorder accumulates counters, stage timings, latency histograms, and
-// completed spans.
+// Recorder accumulates metrics and completed spans. Every metric lives in
+// one table of families keyed by name, each holding its series keyed by
+// canonical label string (see L; the flat kinds keep one series, under
+// ""). A name has exactly one kind, fixed by its first update; updates of
+// another kind under the same name are dropped, so no exported name ever
+// carries two types.
 type Recorder struct {
 	mu       sync.Mutex
 	epoch    time.Time
 	phase    string
-	counters map[string]int64
-	stages   map[string]stage
-	hists    map[string]*Histogram
-	labels   *labeled
+	families map[string]*family
 	spans    []SpanData
 	// spanCap bounds the retained completed spans (0 = unbounded, the
 	// batch-pipeline default). Resident daemons set a cap so span storage
@@ -110,19 +116,79 @@ type Recorder struct {
 	spanID       atomic.Int64
 }
 
-type stage struct {
+// kind is what a metric family measures, in the order Snapshot lists the
+// kinds' sections.
+type kind uint8
+
+const (
+	kindCounter          kind = iota // Add: an int64 total
+	kindStage                        // Observe: wall-clock total and runs
+	kindHistogram                    // ObserveDur, MergeHistogram
+	kindLabeledCounter               // AddLabeled
+	kindGauge                        // SetGauge
+	kindLabeledHistogram             // ObserveLabeled
+)
+
+// family is one named metric: its kind and its series by label string.
+type family struct {
+	kind   kind
+	series map[string]*series
+}
+
+// series is one label set's value. Counters use n, stages n (runs) and
+// total, gauges v; only the histogram kinds allocate hist.
+type series struct {
+	n     int64
 	total time.Duration
-	runs  int64
+	v     float64
+	hist  *Histogram
 }
 
 // New returns an empty recorder. Span and trace timestamps are offsets
 // from this moment.
 func New() *Recorder {
-	return &Recorder{
-		epoch:    time.Now(),
-		counters: make(map[string]int64),
-		stages:   make(map[string]stage),
-		hists:    make(map[string]*Histogram),
+	return &Recorder{epoch: time.Now(), families: make(map[string]*family)}
+}
+
+// update runs fn on one series under the recorder lock, creating the
+// family and series on first use. It is a no-op on a nil recorder and for
+// an update whose kind differs from the name's.
+func (r *Recorder) update(name string, k kind, labels string, fn func(*series)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	f := r.families[name]
+	if f == nil {
+		f = &family{kind: k, series: make(map[string]*series)}
+		r.families[name] = f
+	}
+	if f.kind == k {
+		s := f.series[labels]
+		if s == nil {
+			s = &series{}
+			if k == kindHistogram || k == kindLabeledHistogram {
+				s.hist = &Histogram{}
+			}
+			f.series[labels] = s
+		}
+		fn(s)
+	}
+	r.mu.Unlock()
+}
+
+// read runs fn on one existing series of the given kind under the
+// recorder lock; fn does not run when the series is absent.
+func (r *Recorder) read(name string, k kind, labels string, fn func(*series)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f := r.families[name]; f != nil && f.kind == k {
+		if s := f.series[labels]; s != nil {
+			fn(s)
+		}
 	}
 }
 
@@ -194,41 +260,18 @@ func (r *Recorder) AttachSampler(s *Sampler) {
 
 // Add increments a named counter. Safe on a nil recorder.
 func (r *Recorder) Add(name string, n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters[name] += n
-	r.mu.Unlock()
+	r.update(name, kindCounter, "", func(s *series) { s.n += n })
 }
 
 // Observe accumulates one timed run of a stage. Safe on a nil recorder.
 func (r *Recorder) Observe(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	s := r.stages[name]
-	s.total += d
-	s.runs++
-	r.stages[name] = s
-	r.mu.Unlock()
+	r.update(name, kindStage, "", func(s *series) { s.total += d; s.n++ })
 }
 
 // ObserveDur records one latency sample into the named histogram. Safe on
 // a nil recorder.
 func (r *Recorder) ObserveDur(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	h.Observe(d)
-	r.mu.Unlock()
+	r.update(name, kindHistogram, "", func(s *series) { s.hist.Observe(d) })
 }
 
 // MergeHistogram folds a locally accumulated histogram into the named
@@ -236,17 +279,10 @@ func (r *Recorder) ObserveDur(name string, d time.Duration) {
 // hot loop (no lock per sample) and merge once when the pool drains.
 // Safe on a nil recorder and with a nil or empty histogram.
 func (r *Recorder) MergeHistogram(name string, h *Histogram) {
-	if r == nil || h == nil || h.count == 0 {
+	if h == nil || h.count == 0 {
 		return
 	}
-	r.mu.Lock()
-	dst := r.hists[name]
-	if dst == nil {
-		dst = &Histogram{}
-		r.hists[name] = dst
-	}
-	dst.Merge(h)
-	r.mu.Unlock()
+	r.update(name, kindHistogram, "", func(s *series) { s.hist.Merge(h) })
 }
 
 // StartStage starts timing a stage and returns the function that stops the
@@ -264,13 +300,9 @@ func (r *Recorder) StartStage(name string) func() {
 
 // Counter returns the current value of a counter (0 if never added, or on
 // a nil recorder).
-func (r *Recorder) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
+func (r *Recorder) Counter(name string) (v int64) {
+	r.read(name, kindCounter, "", func(s *series) { v = s.n })
+	return v
 }
 
 // CounterValue is one named counter in a snapshot.
@@ -330,20 +362,44 @@ func (r *Recorder) Snapshot() Snapshot {
 	s.Phase = r.phase
 	s.BuildVersion = r.buildVersion
 	s.GoVersion = r.goVersion
-	r.snapshotLabeled(&s)
-	for name, v := range r.counters {
-		s.Counters = append(s.Counters, CounterValue{Name: name, Value: v})
+	type entry struct {
+		name, labels string
+		kind         kind
+		s            *series
 	}
-	for name, st := range r.stages {
-		s.Stages = append(s.Stages, StageTiming{Name: name, Total: st.total, Runs: st.runs})
+	var all []entry
+	for name, f := range r.families {
+		for labels, sr := range f.series {
+			all = append(all, entry{name, labels, f.kind, sr})
+		}
 	}
-	for name, h := range r.hists {
-		s.Histograms = append(s.Histograms, h.data(name))
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.labels < b.labels
+	})
+	for _, e := range all {
+		switch e.kind {
+		case kindCounter:
+			s.Counters = append(s.Counters, CounterValue{Name: e.name, Value: e.s.n})
+		case kindStage:
+			s.Stages = append(s.Stages, StageTiming{Name: e.name, Total: e.s.total, Runs: e.s.n})
+		case kindHistogram:
+			s.Histograms = append(s.Histograms, e.s.hist.data(e.name))
+		case kindLabeledCounter:
+			s.LabeledCounters = append(s.LabeledCounters, LabeledValue{Family: e.name, Labels: e.labels, Value: e.s.n})
+		case kindGauge:
+			s.Gauges = append(s.Gauges, GaugeValue{Family: e.name, Labels: e.labels, Value: e.s.v})
+		case kindLabeledHistogram:
+			s.LabeledHistograms = append(s.LabeledHistograms, LabeledHistogramData{Family: e.name, Labels: e.labels, Data: e.s.hist.data(e.name)})
+		}
 	}
 	s.Spans = append(s.Spans, r.spans...)
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Stages, func(i, j int) bool { return s.Stages[i].Name < s.Stages[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	sort.Slice(s.Spans, func(i, j int) bool {
 		if s.Spans[i].Start != s.Spans[j].Start {
 			return s.Spans[i].Start < s.Spans[j].Start
@@ -397,32 +453,22 @@ func (s Snapshot) Render() string {
 	if len(s.Histograms) > 0 {
 		b.WriteString("  latency:\n")
 		for _, h := range s.Histograms {
-			fmt.Fprintf(&b, "    %-*s n=%d p50=%s p90=%s p99=%s max=%s\n",
-				pad, h.Name, h.Count,
-				h.P50.Round(time.Microsecond), h.P90.Round(time.Microsecond),
-				h.P99.Round(time.Microsecond), h.Max.Round(time.Microsecond))
+			fmt.Fprintf(&b, "    %-*s %s\n", pad, h.Name, latencySummary(h))
 		}
 	}
 	if len(s.LabeledCounters) > 0 || len(s.Gauges) > 0 {
 		b.WriteString("  labeled:\n")
 		for _, c := range s.LabeledCounters {
-			fmt.Fprintf(&b, "    %s{%s} %d\n", c.Family, c.Labels, c.Value)
+			fmt.Fprintf(&b, "    %s %d\n", seriesName(c.Family, c.Labels), c.Value)
 		}
 		for _, g := range s.Gauges {
-			if g.Labels == "" {
-				fmt.Fprintf(&b, "    %s %g\n", g.Family, g.Value)
-				continue
-			}
-			fmt.Fprintf(&b, "    %s{%s} %g\n", g.Family, g.Labels, g.Value)
+			fmt.Fprintf(&b, "    %s %g\n", seriesName(g.Family, g.Labels), g.Value)
 		}
 	}
 	if len(s.LabeledHistograms) > 0 {
 		b.WriteString("  labeled latency:\n")
 		for _, h := range s.LabeledHistograms {
-			fmt.Fprintf(&b, "    %s{%s} n=%d p50=%s p90=%s p99=%s max=%s\n",
-				h.Family, h.Labels, h.Data.Count,
-				h.Data.P50.Round(time.Microsecond), h.Data.P90.Round(time.Microsecond),
-				h.Data.P99.Round(time.Microsecond), h.Data.Max.Round(time.Microsecond))
+			fmt.Fprintf(&b, "    %s %s\n", seriesName(h.Family, h.Labels), latencySummary(h.Data))
 		}
 	}
 	if len(s.Counters) == 0 && len(s.Stages) == 0 && len(s.Histograms) == 0 &&
@@ -434,3 +480,10 @@ func (s Snapshot) Render() string {
 
 // Render formats the recorder's current state; see Snapshot.Render.
 func (r *Recorder) Render() string { return r.Snapshot().Render() }
+
+// latencySummary is a histogram's -stats row: sample count and quantiles.
+func latencySummary(h HistogramData) string {
+	return fmt.Sprintf("n=%d p50=%s p90=%s p99=%s max=%s", h.Count,
+		h.P50.Round(time.Microsecond), h.P90.Round(time.Microsecond),
+		h.P99.Round(time.Microsecond), h.Max.Round(time.Microsecond))
+}

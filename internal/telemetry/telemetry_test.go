@@ -155,3 +155,49 @@ func TestRenderLatencySection(t *testing.T) {
 		t.Fatalf("latency row malformed:\n%s", out)
 	}
 }
+
+// TestNameHasOneKind: the first update of a name fixes its kind, and
+// updates of another kind under that name are dropped, so no exported
+// name carries two types.
+func TestNameHasOneKind(t *testing.T) {
+	r := New()
+	r.Add("x", 2)
+	r.SetGauge("x", "", 5)
+	r.AddLabeled("x", L("app", "a"), 1)
+	r.ObserveDur("x", time.Millisecond)
+	if _, ok := r.Gauge("x", ""); ok {
+		t.Fatal("a counter's name also holds a gauge")
+	}
+	if got := r.LabeledCounter("x", L("app", "a")); got != 0 {
+		t.Fatalf("a counter's name also holds a labeled counter (%d)", got)
+	}
+	s := r.Snapshot()
+	if len(s.Counters) != 1 || s.Counters[0].Value != 2 || len(s.Gauges)+len(s.LabeledCounters)+len(s.Histograms) != 0 {
+		t.Fatalf("snapshot = %+v, want only counter x = 2", s)
+	}
+	if got := r.Counter("x"); got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
+	}
+}
+
+// TestRecorderUpdatesAllocFree: once a series exists, updating it
+// allocates nothing, so per-image telemetry stays off the GC.
+func TestRecorderUpdatesAllocFree(t *testing.T) {
+	r := New()
+	labels := L("app", "a")
+	var h Histogram
+	h.Observe(time.Microsecond)
+	update := func() {
+		r.Add("c", 1)
+		r.Observe("s", time.Microsecond)
+		r.ObserveDur("h", time.Microsecond)
+		r.MergeHistogram("h", &h)
+		r.AddLabeled("lc", labels, 1)
+		r.SetGauge("g", labels, 1)
+		r.ObserveLabeled("lh", labels, time.Microsecond)
+	}
+	update()
+	if allocs := testing.AllocsPerRun(100, update); allocs != 0 {
+		t.Fatalf("updating existing series allocated %.1f objects per round, want 0", allocs)
+	}
+}
