@@ -187,15 +187,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
 	$(GO) test -run '^$$' -bench=LoadJSON -benchtime 1x -benchmem ./internal/sysimage >/dev/null
 	$(GO) test -run '^$$' -bench=RecorderUpdates -benchtime 1x -benchmem ./internal/telemetry >/dev/null
+	$(GO) test -run '^$$' -bench=AlertDispatch -benchtime 1x -benchmem ./internal/alert >/dev/null
 	@echo "bench-smoke: benchmarks build and run OK"
 
 # Short fuzz pass over each config-parser dialect (against the parsers as
 # first written, through a fresh and a reused scratch), PortNumber
 # inference (against strconv.Atoi), the plan decoder, the profile decoder
 # (through plan build, check and the binary round trip), the image
-# decoder, the image's environment probes and the bool-implies lexicon
-# (against strings.ToLower; seed corpora always run as part of tier 1;
-# this explores beyond them).
+# decoder, the image's environment probes, the bool-implies lexicon
+# (against strings.ToLower) and the daemon's one-pass scan reply (against
+# encoding/json); seed corpora always run as part of tier 1; this explores
+# beyond them.
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzINIParse -fuzztime 10s
@@ -206,6 +208,7 @@ fuzz:
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzImageProbes -fuzztime 10s
 	$(GO) test ./internal/templates -fuzz FuzzNormBool -fuzztime 10s
+	$(GO) test ./internal/serve -fuzz FuzzScanReply -fuzztime 10s
 
 fmt:
 	gofmt -l .

@@ -115,7 +115,7 @@ type Alert struct {
 // FromWarning builds an Alert from a detector warning plus its scan
 // provenance. Severity is derived from the warning score.
 func FromWarning(w *detect.Warning, app, imageID, requestID, planVersion string) Alert {
-	a := Alert{
+	return Alert{
 		App:         app,
 		ImageID:     imageID,
 		Family:      string(w.Kind),
@@ -124,13 +124,10 @@ func FromWarning(w *detect.Warning, app, imageID, requestID, planVersion string)
 		Severity:    SeverityForScore(w.Score),
 		Score:       w.Score,
 		Message:     w.Message,
+		Rule:        w.RuleText(),
 		RequestID:   requestID,
 		PlanVersion: planVersion,
 	}
-	if w.Rule != nil {
-		a.Rule = w.Rule.String()
-	}
-	return a
 }
 
 // Notifier delivers one alert to one destination. Implementations must
@@ -228,11 +225,17 @@ type Options struct {
 // worker.
 type Pipeline struct {
 	policy    *Policy
-	notifiers []Notifier
-	byName    map[string]Notifier
+	notifiers []*notifierSlot // delivery order
+	byName    map[string]*notifierSlot
 	rec       *telemetry.Recorder
 	log       *slog.Logger
 	now       func() time.Time
+
+	// Self-metric handles, resolved once by NewPipeline; the last three
+	// are encore_alerts_suppressed_total by reason.
+	queueDepth                telemetry.Gauge
+	droppedM                  telemetry.Counter
+	byPolicy, byDedup, byRate telemetry.Counter
 
 	// mu guards closed and the channel send: Publish holds it shared,
 	// Shutdown exclusively, so a publish can never race the close.
@@ -247,6 +250,9 @@ type Pipeline struct {
 	dropped    atomic.Int64
 	suppressed atomic.Int64
 
+	// ring holds the last RingSize records as a circular buffer: record
+	// seq lives at index (seq-1) % RingSize, so a new record overwrites
+	// the oldest in place instead of shifting the rest.
 	ringMu sync.Mutex
 	ring   []Record
 	seq    uint64
@@ -259,6 +265,22 @@ type Pipeline struct {
 
 	closeNotifiers sync.Once
 }
+
+// notifierSlot is one notifier with its delivery series resolved: the
+// attempts counter per severity and outcome, and the latency histogram.
+type notifierSlot struct {
+	Notifier
+	name     string
+	attempts [len(severities)][2]telemetry.Counter // [Severity.rank()][ok, error]
+	latency  telemetry.Latency
+}
+
+// severities lists the buckets by rank; outcomes the delivery outcomes by
+// a notifierSlot's attempts index.
+var (
+	severities = [...]Severity{SeverityLow, SeverityMedium, SeverityHigh}
+	outcomes   = [...]string{OutcomeOK, OutcomeError}
+)
 
 // dedupEntry tracks the last delivery time for one (app, attr, family)
 // key and how many repeats the window suppressed since.
@@ -284,12 +306,22 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		}
 		notifiers = built
 	}
-	byName := make(map[string]Notifier, len(notifiers))
-	for _, n := range notifiers {
-		if _, dup := byName[n.Name()]; dup {
-			return nil, &PolicyError{Msg: "duplicate notifier name " + n.Name()}
+	slots := make([]*notifierSlot, len(notifiers))
+	byName := make(map[string]*notifierSlot, len(notifiers))
+	for i, n := range notifiers {
+		name := n.Name()
+		if _, dup := byName[name]; dup {
+			return nil, &PolicyError{Msg: "duplicate notifier name " + name}
 		}
-		byName[n.Name()] = n
+		ns := &notifierSlot{Notifier: n, name: name,
+			latency: opts.Rec.LatencyOf(MetricDeliverySeconds, telemetry.L("notifier", name))}
+		for sev := range severities {
+			for out := range outcomes {
+				ns.attempts[sev][out] = opts.Rec.LabeledCounterOf(MetricAlertsTotal,
+					telemetry.L("notifier", name, "severity", string(severities[sev]), "outcome", outcomes[out]))
+			}
+		}
+		slots[i], byName[name] = ns, ns
 	}
 	for _, r := range pol.Rules {
 		for _, name := range r.Notify {
@@ -303,16 +335,21 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		now = time.Now
 	}
 	p := &Pipeline{
-		policy:    pol,
-		notifiers: notifiers,
-		byName:    byName,
-		rec:       opts.Rec,
-		log:       log,
-		now:       now,
-		ch:        make(chan Alert, pol.QueueSize),
-		done:      make(chan struct{}),
-		lastSeen:  make(map[string]dedupEntry),
-		tokens:    float64(pol.RateLimit),
+		policy:     pol,
+		notifiers:  slots,
+		byName:     byName,
+		rec:        opts.Rec,
+		log:        log,
+		now:        now,
+		queueDepth: opts.Rec.GaugeOf(MetricQueueDepth, ""),
+		droppedM:   opts.Rec.LabeledCounterOf(MetricAlertsDropped, ""),
+		byPolicy:   opts.Rec.LabeledCounterOf(MetricAlertsSuppressed, telemetry.L("reason", "policy")),
+		byDedup:    opts.Rec.LabeledCounterOf(MetricAlertsSuppressed, telemetry.L("reason", "dedup")),
+		byRate:     opts.Rec.LabeledCounterOf(MetricAlertsSuppressed, telemetry.L("reason", "rate")),
+		ch:         make(chan Alert, pol.QueueSize),
+		done:       make(chan struct{}),
+		lastSeen:   make(map[string]dedupEntry),
+		tokens:     float64(pol.RateLimit),
 	}
 	p.lastRefill = now()
 	go p.dispatch()
@@ -332,8 +369,7 @@ func (p *Pipeline) Publish(a Alert) bool {
 		a.Severity = SeverityForScore(a.Score)
 	}
 	if _, ok := p.policy.route(a.Family, a.Severity); !ok {
-		p.suppressed.Add(1)
-		p.rec.AddLabeled(MetricAlertsSuppressed, telemetry.L("reason", "policy"), 1)
+		p.suppress(p.byPolicy)
 		return false
 	}
 	if a.FiredAtUnix == 0 {
@@ -347,11 +383,11 @@ func (p *Pipeline) Publish(a Alert) bool {
 	select {
 	case p.ch <- a:
 		p.published.Add(1)
-		p.rec.SetGauge(MetricQueueDepth, "", float64(len(p.ch)))
+		p.queueDepth.Set(float64(len(p.ch)))
 		return true
 	default:
 		p.dropped.Add(1)
-		p.rec.AddLabeled(MetricAlertsDropped, "", 1)
+		p.droppedM.Add(1)
 		return false
 	}
 }
@@ -377,10 +413,10 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 	p.closeNotifiers.Do(func() {
-		for _, n := range p.notifiers {
-			if c, ok := n.(io.Closer); ok {
+		for _, ns := range p.notifiers {
+			if c, ok := ns.Notifier.(io.Closer); ok {
 				if err := c.Close(); err != nil {
-					p.log.Warn("alert notifier close failed", "notifier", n.Name(), "err", err)
+					p.log.Warn("alert notifier close failed", "notifier", ns.name, "err", err)
 				}
 			}
 		}
@@ -410,13 +446,15 @@ func (p *Pipeline) Recent(limit int) []Record {
 	}
 	p.ringMu.Lock()
 	defer p.ringMu.Unlock()
-	n := len(p.ring)
+	size := len(p.ring)
+	n := size
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	out := make([]Record, n)
-	for i := 0; i < n; i++ {
-		out[i] = p.ring[len(p.ring)-1-i]
+	for i := range out {
+		// The newest record sits at (seq-1) % size, the older ones before it.
+		out[i] = p.ring[(int((p.seq-1)%uint64(size))-i+size)%size]
 	}
 	return out
 }
@@ -428,10 +466,10 @@ func (p *Pipeline) Recent(limit int) []Record {
 func (p *Pipeline) dispatch() {
 	defer close(p.done)
 	for a := range p.ch {
-		p.rec.SetGauge(MetricQueueDepth, "", float64(len(p.ch)))
+		p.queueDepth.Set(float64(len(p.ch)))
 		p.process(a)
 	}
-	p.rec.SetGauge(MetricQueueDepth, "", 0)
+	p.queueDepth.Set(0)
 }
 
 // dedupSweepFloor bounds the dedup map: past this many live keys expired
@@ -445,8 +483,7 @@ func (p *Pipeline) process(a Alert) {
 		if e, ok := p.lastSeen[key]; ok && now.Sub(e.last) < w {
 			e.suppressed++
 			p.lastSeen[key] = e
-			p.suppressed.Add(1)
-			p.rec.AddLabeled(MetricAlertsSuppressed, telemetry.L("reason", "dedup"), 1)
+			p.suppress(p.byDedup)
 			return
 		}
 		if len(p.lastSeen) >= dedupSweepFloor {
@@ -465,8 +502,7 @@ func (p *Pipeline) process(a Alert) {
 		}
 		p.lastRefill = now
 		if p.tokens < 1 {
-			p.suppressed.Add(1)
-			p.rec.AddLabeled(MetricAlertsSuppressed, telemetry.L("reason", "rate"), 1)
+			p.suppress(p.byRate)
 			return
 		}
 		p.tokens--
@@ -474,47 +510,62 @@ func (p *Pipeline) process(a Alert) {
 
 	names, _ := p.policy.route(a.Family, a.Severity)
 	rec := Record{Alert: a}
-	for _, n := range p.notifiersFor(names) {
-		start := time.Now()
-		err := n.Notify(&a)
-		elapsed := time.Since(start)
-		d := Delivery{Notifier: n.Name(), Outcome: OutcomeOK, ElapsedMicros: elapsed.Microseconds()}
-		if err != nil {
-			d.Outcome = OutcomeError
-			d.Error = err.Error()
-			p.failed.Add(1)
-			p.log.Warn("alert delivery failed", "notifier", n.Name(),
-				"app", a.App, "attr", a.Attr, "request_id", a.RequestID, "err", err)
-		} else {
-			p.delivered.Add(1)
+	if names == nil {
+		for _, ns := range p.notifiers {
+			p.deliver(ns, &a, &rec)
 		}
-		p.rec.AddLabeled(MetricAlertsTotal,
-			telemetry.L("notifier", n.Name(), "severity", string(a.Severity), "outcome", d.Outcome), 1)
-		p.rec.ObserveLabeled(MetricDeliverySeconds, telemetry.L("notifier", n.Name()), elapsed)
-		rec.Deliveries = append(rec.Deliveries, d)
+	} else {
+		// Unknown names were rejected at construction.
+		for _, name := range names {
+			if ns, ok := p.byName[name]; ok {
+				p.deliver(ns, &a, &rec)
+			}
+		}
 	}
 
 	p.ringMu.Lock()
 	p.seq++
 	rec.Seq = p.seq
-	p.ring = append(p.ring, rec)
-	if over := len(p.ring) - p.policy.RingSize; over > 0 {
-		p.ring = append(p.ring[:0], p.ring[over:]...)
+	if size := uint64(p.policy.RingSize); size > 0 {
+		if i := int((p.seq - 1) % size); i < len(p.ring) {
+			p.ring[i] = rec
+		} else {
+			p.ring = append(p.ring, rec)
+		}
 	}
 	p.ringMu.Unlock()
 }
 
-// notifiersFor resolves a route's notifier names (nil = every notifier)
-// into delivery order. Unknown names were rejected at construction.
-func (p *Pipeline) notifiersFor(names []string) []Notifier {
-	if names == nil {
-		return p.notifiers
+// deliver runs one notifier on a and files the outcome in rec and the
+// notifier's series.
+func (p *Pipeline) deliver(ns *notifierSlot, a *Alert, rec *Record) {
+	start := time.Now()
+	err := ns.Notify(a)
+	elapsed := time.Since(start)
+	d := Delivery{Notifier: ns.name, Outcome: OutcomeOK, ElapsedMicros: elapsed.Microseconds()}
+	out := 0
+	if err != nil {
+		out = 1
+		d.Outcome = OutcomeError
+		d.Error = err.Error()
+		p.failed.Add(1)
+		p.log.Warn("alert delivery failed", "notifier", ns.name,
+			"app", a.App, "attr", a.Attr, "request_id", a.RequestID, "err", err)
+	} else {
+		p.delivered.Add(1)
 	}
-	out := make([]Notifier, 0, len(names))
-	for _, name := range names {
-		if n, ok := p.byName[name]; ok {
-			out = append(out, n)
-		}
+	if sev := a.Severity.rank(); sev >= 0 {
+		ns.attempts[sev][out].Add(1)
+	} else {
+		p.rec.AddLabeled(MetricAlertsTotal,
+			telemetry.L("notifier", ns.name, "severity", string(a.Severity), "outcome", d.Outcome), 1)
 	}
-	return out
+	ns.latency.Observe(elapsed)
+	rec.Deliveries = append(rec.Deliveries, d)
+}
+
+// suppress counts one suppressed alert, and it in its reason's series.
+func (p *Pipeline) suppress(reason telemetry.Counter) {
+	p.suppressed.Add(1)
+	reason.Add(1)
 }

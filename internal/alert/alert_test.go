@@ -66,7 +66,7 @@ func testAlert(app, attr string, score float64) Alert {
 	}
 }
 
-func shutdownPipeline(t *testing.T, p *Pipeline) {
+func shutdownPipeline(t testing.TB, p *Pipeline) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -500,5 +500,71 @@ func TestConcurrentPublish(t *testing.T) {
 	}
 	if st.Published+st.Dropped != 400 {
 		t.Fatalf("published %d + dropped %d != 400", st.Published, st.Dropped)
+	}
+}
+
+// TestRingWrapsNewestFirst: across several wraps of the circular ring,
+// Recent returns exactly the last RingSize records, newest first, at
+// every limit.
+func TestRingWrapsNewestFirst(t *testing.T) {
+	pol := DefaultPolicy()
+	pol.RingSize = 4
+	p, err := NewPipeline(Options{Policy: pol, Notifiers: []Notifier{&memNotifier{name: "mem"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdownPipeline(t, p)
+	for n := 1; n <= 11; n++ {
+		p.process(testAlert("mysql", fmt.Sprintf("mysql:a%d", n), 80))
+		want := min(n, pol.RingSize)
+		for _, limit := range []int{0, 1, want, want + 1} {
+			got := p.Recent(limit)
+			wantLen := want
+			if limit > 0 && limit < want {
+				wantLen = limit
+			}
+			if len(got) != wantLen {
+				t.Fatalf("after %d alerts Recent(%d) = %d records, want %d", n, limit, len(got), wantLen)
+			}
+			for i, r := range got {
+				if r.Seq != uint64(n-i) || r.Attr != fmt.Sprintf("mysql:a%d", n-i) {
+					t.Fatalf("after %d alerts Recent(%d)[%d] = seq %d %s", n, limit, i, r.Seq, r.Attr)
+				}
+			}
+		}
+	}
+}
+
+// nopNotifier accepts every alert.
+type nopNotifier struct{}
+
+func (nopNotifier) Name() string        { return "nop" }
+func (nopNotifier) Notify(*Alert) error { return nil }
+
+// BenchmarkAlertDispatch times the dispatcher's work per alert once the
+// recent ring is full: route, one delivery with its attempt counter and
+// latency histogram, and the ring write. The ring overwrites its oldest
+// record in place, so a 4096-record ring costs what a 128-record one does.
+func BenchmarkAlertDispatch(b *testing.B) {
+	for _, size := range []int{DefaultRingSize, 4096} {
+		b.Run(fmt.Sprintf("ring=%d", size), func(b *testing.B) {
+			pol := DefaultPolicy()
+			pol.RingSize = size
+			p, err := NewPipeline(Options{Policy: pol, Notifiers: []Notifier{nopNotifier{}}, Rec: telemetry.New()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The dispatcher exits, so the benchmark owns its state.
+			shutdownPipeline(b, p)
+			a := testAlert("mysql", "mysql:mysqld/port", 80)
+			for i := 0; i < size; i++ {
+				p.process(a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.process(a)
+			}
+		})
 	}
 }

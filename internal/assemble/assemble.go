@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/conftypes"
 	"repro/internal/sysimage"
@@ -56,6 +57,9 @@ type Assembler struct {
 	// Telemetry, when set, receives stage timings and counters for every
 	// assembly run. Nil disables instrumentation.
 	Telemetry *telemetry.Recorder
+	// streamM holds StreamTarget's per-image series, resolved from
+	// Telemetry on first use and again whenever Telemetry changes.
+	streamM atomic.Pointer[streamMetrics]
 	// Log, when set, receives structured records for assembly failures
 	// (parse errors at warn, correlated with their assemble.image span).
 	// Nil silences assembler logging.

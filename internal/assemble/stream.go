@@ -78,6 +78,30 @@ func forEachEntry(buf []byte, pi parsedImage, fn func(name []byte, value string)
 	return buf
 }
 
+// streamMetrics are StreamTarget's per-image series of one recorder, so
+// a check updates them without the recorder lock.
+type streamMetrics struct {
+	rec           *telemetry.Recorder
+	parse         telemetry.Latency
+	images, files telemetry.Counter
+}
+
+// streamSeries returns the per-image series of the current Telemetry.
+func (a *Assembler) streamSeries() *streamMetrics {
+	rec := a.Telemetry
+	if m := a.streamM.Load(); m != nil && m.rec == rec {
+		return m
+	}
+	m := &streamMetrics{
+		rec:    rec,
+		parse:  rec.HistogramOf(telemetry.HistImageParse),
+		images: rec.CounterOf(telemetry.CounterImagesParsed),
+		files:  rec.CounterOf(telemetry.CounterFilesParsed),
+	}
+	a.streamM.Store(m)
+	return m
+}
+
 // StreamTarget parses one target image and streams its assembled
 // attributes — configuration entries, Table 5a augmentations, Table 5b
 // environment attributes — into sink, without materializing a dataset.
@@ -93,12 +117,13 @@ func (a *Assembler) StreamTarget(img *sysimage.Image, sink TargetSink) error {
 	ws := walkPool.Get().(*walkScratch)
 	defer ws.release()
 	files, err := ws.parse(img)
-	a.Telemetry.ObserveDur(telemetry.HistImageParse, time.Since(start))
+	m := a.streamSeries()
+	m.parse.Observe(time.Since(start))
 	if err != nil {
 		return err
 	}
-	a.Telemetry.Add(telemetry.CounterImagesParsed, 1)
-	a.Telemetry.Add(telemetry.CounterFilesParsed, int64(len(img.ConfigFiles)))
+	m.images.Add(1)
+	m.files.Add(int64(len(img.ConfigFiles)))
 	ws.buf = a.stream(ws.buf, parsedImage{img: img, files: files}, sink)
 	return nil
 }

@@ -50,6 +50,20 @@ type Warning struct {
 	Score float64
 	// Rank is the 1-based position in the final report.
 	Rank int
+
+	// ruleText is Rule.String(), formatted once per rule when a plan is
+	// built; see RuleText.
+	ruleText string
+}
+
+// RuleText renders the violated rule for reports and alerts ("" when the
+// warning has no rule). A plan's warnings carry the text formatted when
+// the plan was built; a warning built elsewhere formats it here.
+func (w *Warning) RuleText() string {
+	if w.ruleText != "" || w.Rule == nil {
+		return w.ruleText
+	}
+	return w.Rule.String()
 }
 
 // Report is the ranked output of one check.
@@ -218,7 +232,8 @@ func (dt *Detector) checkCorrelations(ctx *templates.Ctx) []*Warning {
 			Rule:  r,
 			Message: fmt.Sprintf("correlation %s violated: %s=%q vs %s=%q",
 				r.Spec, r.AttrA, strings.Join(va, ";"), r.AttrB, strings.Join(vb, ";")),
-			Score: 40 + 20*r.Confidence,
+			Score:    40 + 20*r.Confidence,
+			ruleText: r.String(),
 		})
 	}
 	return out

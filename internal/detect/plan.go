@@ -120,12 +120,13 @@ type planSlot struct {
 	typed bool
 }
 
-// planRule is one learned rule with its template and attribute slots
-// resolved.
+// planRule is one learned rule with its template, attribute slots and
+// report text resolved.
 type planRule struct {
 	rule *rules.Rule
 	tpl  *templates.Template
 	a, b int32
+	text string
 }
 
 // charSig folds a string's bytes into a 64-bit set (one bit per byte
@@ -167,7 +168,8 @@ func (p *Plan) link(types []PlanSpecType, rs []*rules.Rule, tpls []*templates.Te
 	}
 	for _, r := range rs {
 		if tpl := findTemplate(tpls, r.Template); tpl != nil {
-			p.rules = append(p.rules, planRule{rule: r, tpl: tpl, a: p.slotIndex(r.AttrA), b: p.slotIndex(r.AttrB)})
+			p.rules = append(p.rules, planRule{rule: r, tpl: tpl,
+				a: p.slotIndex(r.AttrA), b: p.slotIndex(r.AttrB), text: r.String()})
 		}
 	}
 	p.pool.New = func() any { return newScratch(p) }
@@ -605,7 +607,8 @@ func (p *Plan) checkCorrelations(s *scratch, ws []*Warning) []*Warning {
 			Rule:  r,
 			Message: fmt.Sprintf("correlation %s violated: %s=%q vs %s=%q",
 				r.Spec, r.AttrA, strings.Join(va, ";"), r.AttrB, strings.Join(vb, ";")),
-			Score: 40 + 20*r.Confidence,
+			Score:    40 + 20*r.Confidence,
+			ruleText: pr.text,
 		})
 	}
 	return ws

@@ -46,9 +46,7 @@ func (r *Report) RenderJSON() ([]byte, error) {
 		wj := warningJSON{
 			Rank: w.Rank, Kind: w.Kind, Attr: w.Attr,
 			Value: w.Value, Message: w.Message, Score: w.Score,
-		}
-		if w.Rule != nil {
-			wj.Rule = w.Rule.String()
+			Rule: w.RuleText(),
 		}
 		out.Warnings = append(out.Warnings, wj)
 	}
@@ -74,9 +72,7 @@ func (r *Report) AppendJSON(buf *bytes.Buffer) error {
 		wj := warningJSON{
 			Rank: w.Rank, Kind: w.Kind, Attr: w.Attr,
 			Value: w.Value, Message: w.Message, Score: w.Score,
-		}
-		if w.Rule != nil {
-			wj.Rule = w.Rule.String()
+			Rule: w.RuleText(),
 		}
 		scratch = append(scratch, wj)
 	}

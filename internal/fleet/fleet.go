@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/alert"
 	"repro/internal/scan"
+	"repro/internal/sysimage"
 	"repro/internal/telemetry"
 )
 
@@ -192,11 +193,20 @@ type run struct {
 	errors   atomic.Int64
 	findings atomic.Int64
 	step     scan.Step
+	m        runMetrics
 
 	// failMu guards the lowest-index failure of a Strict run.
 	failMu  sync.Mutex
 	failIdx int
 	failErr *scan.ScanError
+}
+
+// runMetrics are a run's per-image series, resolved once by Run so a
+// worker updates them without the recorder lock.
+type runMetrics struct {
+	scanned, findings, scanErrors telemetry.Counter // pipeline counters
+	images, errors                telemetry.Counter // encore_fleet_*_total
+	inflight                      telemetry.Gauge
 }
 
 // Run scans every task of src across the configured shards and delivers
@@ -238,6 +248,14 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 	}
 
 	rec := c.Opts.Telemetry
+	r.m = runMetrics{
+		scanned:    rec.CounterOf(telemetry.CounterImagesScanned),
+		findings:   rec.CounterOf(telemetry.CounterFindingsEmitted),
+		scanErrors: rec.CounterOf(telemetry.CounterScanErrors),
+		images:     rec.LabeledCounterOf(MetricImages, ""),
+		errors:     rec.LabeledCounterOf(MetricErrors, ""),
+		inflight:   rec.GaugeOf(MetricInflightBytes, ""),
+	}
 	defer rec.StartStage(telemetry.StageScanBatch)()
 	root := rec.StartSpan("scan.batch",
 		telemetry.A("images", strconv.Itoa(n)),
@@ -310,7 +328,7 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 	}
 	rec.AddLabeled(MetricSteals, "", stats.Steals)
 	rec.SetGauge(MetricHighWaterBytes, "", float64(stats.HighWaterBytes))
-	rec.SetGauge(MetricInflightBytes, "", 0)
+	r.m.inflight.Set(0)
 	if r.failErr != nil {
 		return stats, r.failErr
 	}
@@ -524,7 +542,7 @@ func (r *run) acquire(size int64) bool {
 	}
 	cur := r.inflight
 	r.budgetMu.Unlock()
-	r.opts.Telemetry.SetGauge(MetricInflightBytes, "", float64(cur))
+	r.m.inflight.Set(float64(cur))
 	return true
 }
 
@@ -602,7 +620,7 @@ func (r *run) process(idx int, hist *telemetry.Histogram) {
 
 	start := time.Now()
 	var it scan.Item
-	if img, err := r.src.Load(idx); err != nil {
+	if img, err := r.load(idx); err != nil {
 		it = scan.Item{Err: &scan.ScanError{Err: err}}
 		hist.Observe(time.Since(start))
 	} else {
@@ -611,19 +629,18 @@ func (r *run) process(idx int, hist *telemetry.Histogram) {
 		hist.Observe(elapsed)
 	}
 
-	rec := r.opts.Telemetry
-	rec.Add(telemetry.CounterImagesScanned, 1)
-	rec.AddLabeled(MetricImages, "", 1)
+	r.m.scanned.Add(1)
+	r.m.images.Add(1)
 	if it.Err == nil {
 		warnings := len(it.Report.Warnings)
 		r.findings.Add(int64(warnings))
-		rec.Add(telemetry.CounterFindingsEmitted, int64(warnings))
+		r.m.findings.Add(int64(warnings))
 		r.opts.Progress.Step(warnings)
 	} else {
 		it.Err.Path = r.src.Name(idx)
 		r.errors.Add(1)
-		rec.Add(telemetry.CounterScanErrors, 1)
-		rec.AddLabeled(MetricErrors, "", 1)
+		r.m.scanErrors.Add(1)
+		r.m.errors.Add(1)
 		r.opts.Progress.Step(0)
 		if r.opts.Log != nil {
 			r.opts.Log.Warn("image scan failed",
@@ -634,4 +651,16 @@ func (r *run) process(idx int, hist *telemetry.Histogram) {
 		}
 	}
 	r.sink(idx, it)
+}
+
+// load decodes one task's image. A panicking decoder becomes that image's
+// error, as a panicking check does inside scan.Step: nothing above a
+// worker goroutine recovers, so the panic would end the process.
+func (r *run) load(idx int) (img *sysimage.Image, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			img, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return r.src.Load(idx)
 }

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -485,5 +486,58 @@ func TestSourceShapes(t *testing.T) {
 	}
 	if is.Name(0) != imgs[0].ID {
 		t.Fatalf("image name = %q, want %q", is.Name(0), imgs[0].ID)
+	}
+}
+
+// panicSource is a sleepSource whose decoder panics on one index.
+type panicSource struct {
+	sleepSource
+	bad int
+}
+
+func (s *panicSource) Load(i int) (*sysimage.Image, error) {
+	if i == s.bad {
+		panic("decoder bug")
+	}
+	return s.sleepSource.Load(i)
+}
+
+// TestFleetRecoversLoadPanic: a panicking Source.Load becomes that image's
+// ScanError, counted like any other scan error, and the rest of the fleet
+// is scanned; under Strict it fails the run instead of the process.
+func TestFleetRecoversLoadPanic(t *testing.T) {
+	const n, bad = 20, 7
+	check := func(img *sysimage.Image) (*detect.Report, error) {
+		return &detect.Report{SystemID: img.ID}, nil
+	}
+	rec := telemetry.New()
+	coord := &fleet.Coordinator{Opts: fleet.Options{Check: check, Shards: 2, Workers: 2, Telemetry: rec}}
+	res, stats, err := coord.Collect(context.Background(), &panicSource{sleepSource{n}, bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Images != n || stats.Errors != 1 {
+		t.Fatalf("stats = %+v, want %d images and 1 error", stats, n)
+	}
+	for i, it := range res.Items {
+		if (it.Err != nil) != (i == bad) {
+			t.Fatalf("item %d: err = %v", i, it.Err)
+		}
+	}
+	if e := res.Items[bad].Err; e.Path != "sleep-0007" || e.Err.Error() != "panic: decoder bug" {
+		t.Fatalf("ScanError = %+v", e)
+	}
+	if got := rec.LabeledCounter(fleet.MetricErrors, ""); got != 1 {
+		t.Fatalf("%s = %d, want 1", fleet.MetricErrors, got)
+	}
+	if got := rec.Counter(telemetry.CounterScanErrors); got != 1 {
+		t.Fatalf("%s = %d, want 1", telemetry.CounterScanErrors, got)
+	}
+
+	coord.Opts.Strict = true
+	_, err = coord.Run(context.Background(), &panicSource{sleepSource{n}, bad}, func(int, scan.Item) {})
+	var se *scan.ScanError
+	if !errors.As(err, &se) || se.Path != "sleep-0007" {
+		t.Fatalf("strict run error = %v, want the panicking image's ScanError", err)
 	}
 }

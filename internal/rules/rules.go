@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -52,9 +53,27 @@ type Rule struct {
 	EntropyB   float64 `json:"entropyB"`
 }
 
-// String renders the rule for reports.
+// String renders the rule for reports:
+//
+//	Template(AttrA, AttrB) support=Support conf=Confidence
+//
+// with the confidence to two decimals. It writes the text in one
+// allocation (fmt.Sprintf's %d and %.2f give the same bytes), since a
+// plan formats every rule each time one is built or swapped in.
 func (r *Rule) String() string {
-	return fmt.Sprintf("%s(%s, %s) support=%d conf=%.2f", r.Template, r.AttrA, r.AttrB, r.Support, r.Confidence)
+	var num [32]byte
+	var b strings.Builder
+	b.Grow(len(r.Template) + len(r.AttrA) + len(r.AttrB) + len("(, ) support= conf=") + 24)
+	b.WriteString(r.Template)
+	b.WriteByte('(')
+	b.WriteString(r.AttrA)
+	b.WriteString(", ")
+	b.WriteString(r.AttrB)
+	b.WriteString(") support=")
+	b.Write(strconv.AppendInt(num[:0], int64(r.Support), 10))
+	b.WriteString(" conf=")
+	b.Write(strconv.AppendFloat(num[:0], r.Confidence, 'f', 2, 64))
+	return b.String()
 }
 
 // Key identifies a rule regardless of statistics.

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -276,6 +278,19 @@ func TestRuleString(t *testing.T) {
 	}
 	if r.Key() != "owner|a|b" {
 		t.Fatalf("Key = %q", r.Key())
+	}
+	// String writes exactly the text of the report format it replaced.
+	for _, c := range []Rule{
+		*r,
+		{Template: "[A] ? [B]", AttrA: "mysql:mysqld/datadir", AttrB: "mysql:mysqld/user", Support: 1234567, Confidence: 0.9049999},
+		{Support: -2, Confidence: -0.0},
+		{AttrA: "é", Support: math.MaxInt64, Confidence: 1e300},
+		{Confidence: math.NaN()}, {Confidence: math.Inf(1)}, {Confidence: math.Inf(-1)}, {Confidence: 0.125}, {Confidence: 0.135},
+	} {
+		want := fmt.Sprintf("%s(%s, %s) support=%d conf=%.2f", c.Template, c.AttrA, c.AttrB, c.Support, c.Confidence)
+		if got := c.String(); got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
 	}
 }
 

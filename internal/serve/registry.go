@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/detect"
 	"repro/internal/telemetry"
 )
@@ -48,12 +49,53 @@ type Entry struct {
 	LoadedAt time.Time
 	// Seq is the app's swap sequence number (1 for the first load).
 	Seq int64
+
+	// metrics are the app's per-request series, shared by its versions.
+	metrics *appMetrics
 }
 
 // appSlot is one app's hot-swap cell.
 type appSlot struct {
-	cur   atomic.Pointer[Entry]
-	swaps atomic.Int64
+	cur     atomic.Pointer[Entry]
+	swaps   atomic.Int64
+	metrics *appMetrics
+}
+
+// appMetrics are one app's per-request series, resolved once when the app
+// is first registered so a scan request updates them without rendering a
+// label string or taking the recorder lock.
+type appMetrics struct {
+	scanSeconds telemetry.Latency
+	scanErrors  telemetry.Counter
+	requestsOK  telemetry.Counter                         // encore_serve_requests_total{code="200"}
+	findings    [len(findingSeverities)]telemetry.Counter // by findingSeverities
+}
+
+// findingSeverities are the severity labels of encore_serve_findings_total.
+var findingSeverities = [...]alert.Severity{alert.SeverityLow, alert.SeverityMedium, alert.SeverityHigh}
+
+func newAppMetrics(rec *telemetry.Recorder, app string) *appMetrics {
+	appLabel := telemetry.L("app", app)
+	m := &appMetrics{
+		scanSeconds: rec.LatencyOf("encore_serve_scan_seconds", appLabel),
+		scanErrors:  rec.LabeledCounterOf("encore_serve_scan_errors_total", appLabel),
+		requestsOK:  rec.LabeledCounterOf("encore_serve_requests_total", telemetry.L("app", app, "code", "200")),
+	}
+	for i, sev := range findingSeverities {
+		m.findings[i] = rec.LabeledCounterOf("encore_serve_findings_total",
+			telemetry.L("app", app, "severity", string(sev)))
+	}
+	return m
+}
+
+// finding counts one finding of the given score.
+func (m *appMetrics) finding(score float64) {
+	sev := alert.SeverityForScore(score)
+	for i, s := range findingSeverities {
+		if s == sev {
+			m.findings[i].Add(1)
+		}
+	}
 }
 
 // Registry is the versioned profile registry. All methods are safe for
@@ -107,7 +149,7 @@ func (g *Registry) Register(app, version string, plan *detect.Plan, source strin
 	g.mu.Lock()
 	slot := g.apps[app]
 	if slot == nil {
-		slot = &appSlot{}
+		slot = &appSlot{metrics: newAppMetrics(g.rec, app)}
 		g.apps[app] = slot
 	}
 	loaded := len(g.apps)
@@ -124,6 +166,7 @@ func (g *Registry) Register(app, version string, plan *detect.Plan, source strin
 		Source:   source,
 		LoadedAt: g.clock(),
 		Seq:      seq,
+		metrics:  slot.metrics,
 	}
 	slot.cur.Store(e)
 

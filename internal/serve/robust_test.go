@@ -206,6 +206,47 @@ func TestHandlerPanicLowersInflightGauge(t *testing.T) {
 	}
 }
 
+// TestHandlerPanicRunsEpilogue: a panicking handler still gets the whole
+// request epilogue — a code-500 request count, its root span ended (so the
+// decode span it opened has its parent in the snapshot), and an
+// error-level access log record — before net/http drops the connection.
+func TestHandlerPanicRunsEpilogue(t *testing.T) {
+	rec := telemetry.New()
+	logs := &lockedBuffer{}
+	d, base := startDaemon(t, serve.Options{Rec: rec, Log: slog.New(slog.NewTextHandler(logs, nil)),
+		ScanHook: func(string) { panic("scan hook") }})
+	if _, err := d.Registry().Register("mysql", "", buildPlan(t, "mysql", 12, 3), "test"); err != nil {
+		t.Fatal(err)
+	}
+	_, healthy := craftedImages(t)
+	if resp, err := http.Post(base+"/v1/scan/mysql", "application/json", bytes.NewReader(healthy)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a panicking handler answered %d; want the connection dropped", resp.StatusCode)
+	}
+	if got := rec.LabeledCounter("encore_serve_requests_total", telemetry.L("app", "mysql", "code", "500")); got != 1 {
+		t.Fatalf("requests{code=500} = %d, want 1", got)
+	}
+	spans := map[int64]telemetry.SpanData{}
+	for _, sp := range rec.Snapshot().Spans {
+		spans[sp.ID] = sp
+	}
+	var decode *telemetry.SpanData
+	for _, sp := range spans {
+		if sp.Name == "serve.decode" {
+			decode = &sp
+		}
+	}
+	if decode == nil {
+		t.Fatal("no serve.decode span recorded")
+	}
+	if root, ok := spans[decode.Parent]; !ok || root.Name != "serve.scan" {
+		t.Fatalf("serve.decode's parent %d is not a recorded serve.scan span", decode.Parent)
+	}
+	if out := logs.String(); !strings.Contains(out, "level=ERROR msg=request") || !strings.Contains(out, "code=500") {
+		t.Fatalf("no error-level request record for the panic:\n%s", out)
+	}
+}
+
 // TestUnknownAppsShareOneSeries: the request counter's app label comes
 // from the URL, which anyone can vary, so requests for apps with no
 // registered plan all count under app="" instead of minting a series per

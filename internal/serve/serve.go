@@ -70,11 +70,13 @@ type Daemon struct {
 	start    time.Time
 	draining atomic.Bool
 	inflight atomic.Int64
-	reqSeq   atomic.Int64
-	idBase   string
-	done     chan struct{}
-	close    sync.Once
-	err      error
+	// inflightG is the encore_serve_inflight_requests gauge.
+	inflightG telemetry.Gauge
+	reqSeq    atomic.Int64
+	idBase    string
+	done      chan struct{}
+	close     sync.Once
+	err       error
 }
 
 // New binds addr and starts serving. The returned daemon is live:
@@ -89,13 +91,14 @@ func New(opts Options) (*Daemon, error) {
 		return nil, fmt.Errorf("serve: listen %s: %w", opts.Addr, err)
 	}
 	d := &Daemon{
-		opts:  opts,
-		reg:   NewRegistry(opts.Rec),
-		ln:    ln,
-		rec:   opts.Rec,
-		log:   telemetry.LoggerOr(opts.Log),
-		start: time.Now(),
-		done:  make(chan struct{}),
+		opts:      opts,
+		reg:       NewRegistry(opts.Rec),
+		ln:        ln,
+		rec:       opts.Rec,
+		log:       telemetry.LoggerOr(opts.Log),
+		start:     time.Now(),
+		done:      make(chan struct{}),
+		inflightG: opts.Rec.GaugeOf("encore_serve_inflight_requests", ""),
 	}
 	d.idBase = strconv.FormatInt(d.start.UnixNano(), 36)
 
@@ -219,45 +222,65 @@ type reqCtx struct {
 
 // instrument wraps an app-scoped API handler with the request
 // observability envelope: request-ID resolution and echo, a root span
-// carrying (endpoint, app, request id), the in-flight gauge (lowered even
-// when the handler panics), the per-(app, code) request counter, and a
-// span-correlated access log record.
+// carrying (endpoint, app, request id), the in-flight gauge, the
+// per-(app, code) request counter, and a span-correlated access log
+// record. The epilogue runs from a defer, so a panicking handler still
+// lowers the gauge, counts as a 500, ends its span and logs at error
+// level; the panic then continues so net/http aborts the connection.
 func (d *Daemon) instrument(name string, h func(http.ResponseWriter, *http.Request, *reqCtx)) http.HandlerFunc {
+	spanName := "serve." + name
 	return func(w http.ResponseWriter, r *http.Request) {
 		rc := &reqCtx{ID: d.requestID(r), App: r.PathValue("app")}
 		w.Header().Set("X-Request-Id", rc.ID)
-		rc.Span = d.rec.StartSpan("serve."+name,
+		rc.Span = d.rec.StartSpan(spanName,
 			telemetry.A("request_id", rc.ID),
 			telemetry.A("app", rc.App),
 			telemetry.A("method", r.Method))
-		d.rec.SetGauge("encore_serve_inflight_requests", "", float64(d.inflight.Add(1)))
-		defer func() {
-			d.rec.SetGauge("encore_serve_inflight_requests", "", float64(d.inflight.Add(-1)))
-		}()
+		d.inflightG.Set(float64(d.inflight.Add(1)))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-
+		defer func() {
+			p := recover()
+			status := sw.status
+			if p != nil {
+				status = http.StatusInternalServerError
+			}
+			d.inflightG.Set(float64(d.inflight.Add(-1)))
+			d.finishRequest(r, rc, status, time.Since(start))
+			if p != nil {
+				panic(p)
+			}
+		}()
 		h(sw, r, rc)
+	}
+}
 
-		elapsed := time.Since(start)
-		code := strconv.Itoa(sw.status)
-		// The app label comes from the URL, so only apps with a registered
-		// plan get their own series: any other path value would mint one.
-		appLabel := rc.App
-		if _, ok := d.reg.Get(appLabel); !ok {
-			appLabel = ""
+// finishRequest counts, ends and logs one request. The app label comes
+// from the URL, so only apps with a registered plan get their own series:
+// any other path value would mint one.
+func (d *Daemon) finishRequest(r *http.Request, rc *reqCtx, status int, elapsed time.Duration) {
+	code := "200"
+	entry, registered := d.reg.Get(rc.App)
+	if registered && status == http.StatusOK {
+		entry.metrics.requestsOK.Add(1)
+	} else {
+		code = strconv.Itoa(status)
+		appLabel := ""
+		if registered {
+			appLabel = rc.App
 		}
-		d.rec.AddLabeled("encore_serve_requests_total",
-			telemetry.L("app", appLabel, "code", code), 1)
-		rc.Span.SetAttr("code", code)
-		rc.Span.End()
-		lvl := slog.LevelInfo
-		if sw.status >= 500 {
-			lvl = slog.LevelError
-		}
+		d.rec.AddLabeled("encore_serve_requests_total", telemetry.L("app", appLabel, "code", code), 1)
+	}
+	rc.Span.SetAttr("code", code)
+	rc.Span.End()
+	lvl := slog.LevelInfo
+	if status >= 500 {
+		lvl = slog.LevelError
+	}
+	if d.log.Enabled(r.Context(), lvl) {
 		d.log.Log(r.Context(), lvl, "request",
 			"request_id", rc.ID, "method", r.Method, "path", r.URL.Path,
-			"app", rc.App, "code", sw.status, "dur", elapsed.Round(time.Microsecond))
+			"app", rc.App, "code", status, "dur", elapsed.Round(time.Microsecond))
 	}
 }
 
@@ -269,18 +292,6 @@ func apiError(w http.ResponseWriter, rc *reqCtx, code int, format string, args .
 		"error":     fmt.Sprintf(format, args...),
 		"requestId": rc.ID,
 	})
-}
-
-// scanResponse is the /v1/scan reply: request identity, the registry
-// version the scan ran against, and the report in the CLI's check -json
-// shape.
-type scanResponse struct {
-	RequestID     string          `json:"requestId"`
-	App           string          `json:"app"`
-	PlanVersion   string          `json:"planVersion"`
-	ElapsedMicros int64           `json:"elapsedMicros"`
-	Findings      int             `json:"findings"`
-	Report        json.RawMessage `json:"report"`
 }
 
 func (d *Daemon) handleScan(w http.ResponseWriter, r *http.Request, rc *reqCtx) {
@@ -336,44 +347,35 @@ func (d *Daemon) handleScan(w http.ResponseWriter, r *http.Request, rc *reqCtx) 
 	}}
 	check := rc.Span.StartChild("serve.check", telemetry.A("image", img.ID))
 	it, elapsed := step.Run(img, time.Now(), check)
+	m := entry.metrics
 	if it.Err != nil {
-		d.rec.AddLabeled("encore_serve_scan_errors_total", telemetry.L("app", rc.App), 1)
+		m.scanErrors.Add(1)
 		apiError(w, rc, http.StatusUnprocessableEntity, "check %s: %v", img.ID, it.Err.Err)
 		return
 	}
 	report := it.Report
-
-	appLabel := telemetry.L("app", rc.App)
-	d.rec.ObserveLabeled("encore_serve_scan_seconds", appLabel, elapsed)
+	m.scanSeconds.Observe(elapsed)
 	for _, warn := range report.Warnings {
-		d.rec.AddLabeled("encore_serve_findings_total",
-			telemetry.L("app", rc.App, "severity", string(alert.SeverityForScore(warn.Score))), 1)
+		m.finding(warn.Score)
 	}
 
-	// The report renders compactly into a pooled buffer; the outer encoder
-	// re-compacts the RawMessage, so the wire bytes are identical to the
-	// MarshalIndent path this replaced, minus its two big allocations.
+	// The reply renders in one pass into a pooled buffer and goes out in
+	// one Write.
 	buf := renderBufPool.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
 		renderBufPool.Put(buf)
 	}()
-	if err := report.AppendJSON(buf); err != nil {
+	err := writeScanReply(buf, rc.ID, rc.App, entry.Version, elapsed.Microseconds(), len(report.Warnings), report)
+	if err != nil {
 		apiError(w, rc, http.StatusInternalServerError, "encode report: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(scanResponse{
-		RequestID:     rc.ID,
-		App:           rc.App,
-		PlanVersion:   entry.Version,
-		ElapsedMicros: elapsed.Microseconds(),
-		Findings:      len(report.Warnings),
-		Report:        json.RawMessage(buf.Bytes()),
-	})
+	w.Write(buf.Bytes())
 }
 
-// renderBufPool recycles report-render buffers across scan requests.
+// renderBufPool recycles reply buffers across scan requests.
 var renderBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // uploadResponse is the /v1/profiles reply.

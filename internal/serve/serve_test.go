@@ -136,6 +136,53 @@ func postScan(t testing.TB, url string, body []byte, hdr map[string]string) (*ht
 	return resp, sr
 }
 
+// TestScanReplyWireBytes: a live /v1/scan reply is byte for byte what
+// json.Encoder renders for its own fields with the report embedded, with
+// HTML characters and U+2028 in the identity strings. (Invalid UTF-8 does
+// not survive the decode this test compares through; FuzzScanReply holds
+// it to encoding/json.)
+func TestScanReplyWireBytes(t *testing.T) {
+	d, base := startDaemon(t, serve.Options{})
+	if _, err := d.Registry().Register("mysql", "v<1>&\u2028", buildPlan(t, "mysql", 30, 19), "test"); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/scan/mysql", bytes.NewReader(brokenVictim(t, "mysql", 4, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "<id>&\"")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("scan: status %d, %v", resp.StatusCode, err)
+	}
+	var doc struct {
+		RequestID     string          `json:"requestId"`
+		App           string          `json:"app"`
+		PlanVersion   string          `json:"planVersion"`
+		ElapsedMicros int64           `json:"elapsedMicros"`
+		Findings      int             `json:"findings"`
+		Report        json.RawMessage `json:"report"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Findings == 0 || doc.PlanVersion != "v<1>&\u2028" || doc.RequestID != "<id>&\"" {
+		t.Fatalf("reply fields = %+v", doc)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("reply bytes differ from encoding/json's\n got %s\nwant %s", body, want.Bytes())
+	}
+}
+
 func TestScanEndpoint(t *testing.T) {
 	rec := telemetry.New()
 	d, base := startDaemon(t, serve.Options{Rec: rec})
@@ -830,14 +877,11 @@ func TestShutdownDrainsAlertPipeline(t *testing.T) {
 }
 
 // BenchmarkServeScan measures full-stack scan request throughput over real
-// HTTP: decode + registry load + Plan.Check + report render per request.
+// HTTP: decode + registry load + Plan.Check + report render + alert
+// publish per request, with a recorder and an alert pipeline wired as
+// `encore serve -alerts` runs.
 func BenchmarkServeScan(b *testing.B) {
-	d, base := startDaemon(b, serve.Options{Rec: telemetry.New()})
-	if _, err := d.Registry().Register("mysql", "", buildPlan(b, "mysql", 30, 19), "bench"); err != nil {
-		b.Fatal(err)
-	}
-	victim := brokenVictim(b, "mysql", 4, 8)
-	url := base + "/v1/scan/mysql"
+	url, victim := alertedDaemon(b)
 
 	b.ReportAllocs()
 	b.ResetTimer()

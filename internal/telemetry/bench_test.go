@@ -31,3 +31,29 @@ func BenchmarkRecorderUpdates(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRecorderHandles times the same seven updates through handles
+// resolved once, as the fleet worker, the serve handler and the alert
+// dispatcher now make them: atomic updates with no recorder lock.
+func BenchmarkRecorderHandles(b *testing.B) {
+	r := New()
+	inflight := r.GaugeOf("encore_fleet_inflight_bytes", "")
+	scanned := r.CounterOf(CounterImagesScanned)
+	images := r.LabeledCounterOf("encore_fleet_images_total", "")
+	findings := r.CounterOf(CounterFindingsEmitted)
+	depth := r.GaugeOf("encore_alert_queue_depth", "")
+	delivered := r.LabeledCounterOf("encore_alerts_total", L("notifier", "hook", "outcome", "ok", "severity", "high"))
+	delivery := r.LatencyOf("encore_alert_delivery_seconds", L("notifier", "hook"))
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			inflight.Set(4096)
+			scanned.Add(1)
+			images.Add(1)
+			findings.Add(2)
+			depth.Set(1)
+			delivered.Add(1)
+			delivery.Observe(40 * time.Microsecond)
+		}
+	})
+}

@@ -16,7 +16,7 @@ const histBuckets = 40
 // Histogram is a log-bucketed latency distribution. The zero value is
 // ready to use. It is NOT safe for concurrent use: either confine one
 // histogram per goroutine and fold the results with Recorder.MergeHistogram,
-// or record through Recorder.ObserveDur, which locks.
+// or record through Recorder.ObserveDur, whose series updates atomically.
 type Histogram struct {
 	buckets [histBuckets + 1]uint64
 	count   uint64
@@ -173,7 +173,7 @@ type HistogramData struct {
 	Buckets       []Bucket
 }
 
-// data snapshots the histogram under the recorder's lock.
+// data snapshots the histogram.
 func (h *Histogram) data(name string) HistogramData {
 	d := HistogramData{
 		Name:  name,

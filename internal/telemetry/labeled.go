@@ -78,13 +78,13 @@ func seriesName(name, labels string) string {
 // the full exposition name ("encore_serve_requests_total"); labels is a
 // canonical label string from L. Safe on a nil recorder.
 func (r *Recorder) AddLabeled(family, labels string, n int64) {
-	r.update(family, kindLabeledCounter, labels, func(s *series) { s.n += n })
+	r.resolve(family, kindLabeledCounter, labels).add(n)
 }
 
 // LabeledCounter reads one series of a labeled counter family (0 when the
 // series was never incremented, or on a nil recorder).
 func (r *Recorder) LabeledCounter(family, labels string) (v int64) {
-	r.read(family, kindLabeledCounter, labels, func(s *series) { v = s.n })
+	r.read(family, kindLabeledCounter, labels, func(s *series) { v = s.n.Load() })
 	return v
 }
 
@@ -92,12 +92,12 @@ func (r *Recorder) LabeledCounter(family, labels string) (v int64) {
 // value (use labels == "" for an unlabeled gauge). Safe on a nil
 // recorder.
 func (r *Recorder) SetGauge(family, labels string, v float64) {
-	r.update(family, kindGauge, labels, func(s *series) { s.v = v })
+	r.resolve(family, kindGauge, labels).set(v)
 }
 
 // Gauge reads one series of a labeled gauge family.
 func (r *Recorder) Gauge(family, labels string) (v float64, ok bool) {
-	r.read(family, kindGauge, labels, func(s *series) { v, ok = s.v, true })
+	r.read(family, kindGauge, labels, func(s *series) { v, ok = s.gauge(), true })
 	return v, ok
 }
 
@@ -106,7 +106,7 @@ func (r *Recorder) Gauge(family, labels string) (v float64, ok bool) {
 // ("encore_serve_scan_seconds" — PromText derives the _bucket/_sum/_count
 // series from it). Safe on a nil recorder.
 func (r *Recorder) ObserveLabeled(family, labels string, d time.Duration) {
-	r.update(family, kindLabeledHistogram, labels, func(s *series) { s.hist.Observe(d) })
+	r.resolve(family, kindLabeledHistogram, labels).observe(d)
 }
 
 // LabeledHistogram snapshots one series of a labeled histogram family

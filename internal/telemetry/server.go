@@ -57,7 +57,7 @@ const (
 func Mount(mux *http.ServeMux, rec *Recorder) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, rec.Snapshot().PromText())
+		io.WriteString(w, rec.metrics().PromText())
 	})
 	mux.HandleFunc("GET /snapshot", func(w http.ResponseWriter, r *http.Request) {
 		data, err := rec.Snapshot().JSON()

@@ -103,7 +103,7 @@ func (s *Span) End() {
 		Start:  s.start,
 		Dur:    time.Since(s.began),
 	}
-	s.r.mu.Lock()
+	s.r.spanMu.Lock()
 	s.r.spans = append(s.r.spans, data)
 	// A capped recorder (resident daemons, see SetSpanCap) sheds the
 	// oldest half in one bulk move once the store overflows, so span
@@ -116,5 +116,5 @@ func (s *Span) End() {
 		n := copy(s.r.spans, s.r.spans[len(s.r.spans)-keep:])
 		s.r.spans = s.r.spans[:n]
 	}
-	s.r.mu.Unlock()
+	s.r.spanMu.Unlock()
 }

@@ -97,15 +97,22 @@ const minRenderPad = 36
 // Recorder accumulates metrics and completed spans. Every metric lives in
 // one table of families keyed by name, each holding its series keyed by
 // canonical label string (see L; the flat kinds keep one series, under
-// ""). A name has exactly one kind, fixed by its first update; updates of
-// another kind under the same name are dropped, so no exported name ever
-// carries two types.
+// ""). A name has exactly one kind, fixed by its first resolve or update;
+// updates of another kind under the same name are dropped, so no exported
+// name ever carries two types.
+//
+// The lock guards the table's shape only. A series' values are atomics,
+// so a handle resolved once (see handle.go) updates without the lock, and
+// the by-name methods are a resolve followed by the same handle update.
 type Recorder struct {
 	mu       sync.Mutex
 	epoch    time.Time
 	phase    string
 	families map[string]*family
-	spans    []SpanData
+	// spanMu guards the completed spans apart from the metric table, so a
+	// span's End never waits on a resolve or a /metrics scrape.
+	spanMu sync.Mutex
+	spans  []SpanData
 	// spanCap bounds the retained completed spans (0 = unbounded, the
 	// batch-pipeline default). Resident daemons set a cap so span storage
 	// stays constant over hours of traffic; see SetSpanCap.
@@ -135,50 +142,40 @@ type family struct {
 	series map[string]*series
 }
 
-// series is one label set's value. Counters use n, stages n (runs) and
-// total, gauges v; only the histogram kinds allocate hist.
-type series struct {
-	n     int64
-	total time.Duration
-	v     float64
-	hist  *Histogram
-}
-
 // New returns an empty recorder. Span and trace timestamps are offsets
 // from this moment.
 func New() *Recorder {
 	return &Recorder{epoch: time.Now(), families: make(map[string]*family)}
 }
 
-// update runs fn on one series under the recorder lock, creating the
-// family and series on first use. It is a no-op on a nil recorder and for
-// an update whose kind differs from the name's.
-func (r *Recorder) update(name string, k kind, labels string, fn func(*series)) {
+// resolve returns one series of name, creating the family and the series
+// on first use. It returns nil on a nil recorder and when name already has
+// another kind; every series update is a no-op on nil.
+func (r *Recorder) resolve(name string, k kind, labels string) *series {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
 		f = &family{kind: k, series: make(map[string]*series)}
 		r.families[name] = f
 	}
-	if f.kind == k {
-		s := f.series[labels]
-		if s == nil {
-			s = &series{}
-			if k == kindHistogram || k == kindLabeledHistogram {
-				s.hist = &Histogram{}
-			}
-			f.series[labels] = s
-		}
-		fn(s)
+	if f.kind != k {
+		return nil
 	}
-	r.mu.Unlock()
+	s := f.series[labels]
+	if s == nil {
+		s = newSeries(k)
+		f.series[labels] = s
+	}
+	return s
 }
 
 // read runs fn on one existing series of the given kind under the
-// recorder lock; fn does not run when the series is absent.
+// recorder lock; fn does not run when the series is absent or was
+// resolved but never updated.
 func (r *Recorder) read(name string, k kind, labels string, fn func(*series)) {
 	if r == nil {
 		return
@@ -186,7 +183,7 @@ func (r *Recorder) read(name string, k kind, labels string, fn func(*series)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f := r.families[name]; f != nil && f.kind == k {
-		if s := f.series[labels]; s != nil {
+		if s := f.series[labels]; s != nil && s.live.Load() {
 			fn(s)
 		}
 	}
@@ -239,9 +236,9 @@ func (r *Recorder) SetSpanCap(cap int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
+	r.spanMu.Lock()
 	r.spanCap = cap
-	r.mu.Unlock()
+	r.spanMu.Unlock()
 }
 
 // AttachSampler folds a runtime sampler into the recorder: snapshots gain
@@ -260,18 +257,18 @@ func (r *Recorder) AttachSampler(s *Sampler) {
 
 // Add increments a named counter. Safe on a nil recorder.
 func (r *Recorder) Add(name string, n int64) {
-	r.update(name, kindCounter, "", func(s *series) { s.n += n })
+	r.resolve(name, kindCounter, "").add(n)
 }
 
 // Observe accumulates one timed run of a stage. Safe on a nil recorder.
 func (r *Recorder) Observe(name string, d time.Duration) {
-	r.update(name, kindStage, "", func(s *series) { s.total += d; s.n++ })
+	r.resolve(name, kindStage, "").stage(d)
 }
 
 // ObserveDur records one latency sample into the named histogram. Safe on
 // a nil recorder.
 func (r *Recorder) ObserveDur(name string, d time.Duration) {
-	r.update(name, kindHistogram, "", func(s *series) { s.hist.Observe(d) })
+	r.resolve(name, kindHistogram, "").observe(d)
 }
 
 // MergeHistogram folds a locally accumulated histogram into the named
@@ -282,7 +279,7 @@ func (r *Recorder) MergeHistogram(name string, h *Histogram) {
 	if h == nil || h.count == 0 {
 		return
 	}
-	r.update(name, kindHistogram, "", func(s *series) { s.hist.Merge(h) })
+	r.resolve(name, kindHistogram, "").merge(h)
 }
 
 // StartStage starts timing a stage and returns the function that stops the
@@ -301,7 +298,7 @@ func (r *Recorder) StartStage(name string) func() {
 // Counter returns the current value of a counter (0 if never added, or on
 // a nil recorder).
 func (r *Recorder) Counter(name string) (v int64) {
-	r.read(name, kindCounter, "", func(s *series) { v = s.n })
+	r.read(name, kindCounter, "", func(s *series) { v = s.n.Load() })
 	return v
 }
 
@@ -344,6 +341,26 @@ type Snapshot struct {
 // Snapshot copies the recorder's current state. Safe on a nil recorder
 // (returns an empty snapshot).
 func (r *Recorder) Snapshot() Snapshot {
+	s := r.metrics()
+	if r == nil {
+		return s
+	}
+	r.spanMu.Lock()
+	s.Spans = append(s.Spans, r.spans...)
+	r.spanMu.Unlock()
+	// Sort the copy, not the store: span ends never wait on the sort.
+	sort.Slice(s.Spans, func(i, j int) bool {
+		if s.Spans[i].Start != s.Spans[j].Start {
+			return s.Spans[i].Start < s.Spans[j].Start
+		}
+		return s.Spans[i].ID < s.Spans[j].ID
+	})
+	return s
+}
+
+// metrics is Snapshot without the spans: everything Render and PromText
+// read, at a cost that does not grow with the retained spans.
+func (r *Recorder) metrics() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
@@ -370,7 +387,9 @@ func (r *Recorder) Snapshot() Snapshot {
 	var all []entry
 	for name, f := range r.families {
 		for labels, sr := range f.series {
-			all = append(all, entry{name, labels, f.kind, sr})
+			if sr.live.Load() {
+				all = append(all, entry{name, labels, f.kind, sr})
+			}
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -386,26 +405,19 @@ func (r *Recorder) Snapshot() Snapshot {
 	for _, e := range all {
 		switch e.kind {
 		case kindCounter:
-			s.Counters = append(s.Counters, CounterValue{Name: e.name, Value: e.s.n})
+			s.Counters = append(s.Counters, CounterValue{Name: e.name, Value: e.s.n.Load()})
 		case kindStage:
-			s.Stages = append(s.Stages, StageTiming{Name: e.name, Total: e.s.total, Runs: e.s.n})
+			s.Stages = append(s.Stages, StageTiming{Name: e.name, Total: time.Duration(e.s.total.Load()), Runs: e.s.n.Load()})
 		case kindHistogram:
 			s.Histograms = append(s.Histograms, e.s.hist.data(e.name))
 		case kindLabeledCounter:
-			s.LabeledCounters = append(s.LabeledCounters, LabeledValue{Family: e.name, Labels: e.labels, Value: e.s.n})
+			s.LabeledCounters = append(s.LabeledCounters, LabeledValue{Family: e.name, Labels: e.labels, Value: e.s.n.Load()})
 		case kindGauge:
-			s.Gauges = append(s.Gauges, GaugeValue{Family: e.name, Labels: e.labels, Value: e.s.v})
+			s.Gauges = append(s.Gauges, GaugeValue{Family: e.name, Labels: e.labels, Value: e.s.gauge()})
 		case kindLabeledHistogram:
 			s.LabeledHistograms = append(s.LabeledHistograms, LabeledHistogramData{Family: e.name, Labels: e.labels, Data: e.s.hist.data(e.name)})
 		}
 	}
-	s.Spans = append(s.Spans, r.spans...)
-	sort.Slice(s.Spans, func(i, j int) bool {
-		if s.Spans[i].Start != s.Spans[j].Start {
-			return s.Spans[i].Start < s.Spans[j].Start
-		}
-		return s.Spans[i].ID < s.Spans[j].ID
-	})
 	return s
 }
 
@@ -479,7 +491,7 @@ func (s Snapshot) Render() string {
 }
 
 // Render formats the recorder's current state; see Snapshot.Render.
-func (r *Recorder) Render() string { return r.Snapshot().Render() }
+func (r *Recorder) Render() string { return r.metrics().Render() }
 
 // latencySummary is a histogram's -stats row: sample count and quantiles.
 func latencySummary(h HistogramData) string {
