@@ -195,7 +195,9 @@ bench-smoke:
 # inference (against strconv.Atoi), the plan decoder, the profile decoder
 # (through plan build, check and the binary round trip), the image
 # decoder, the image's environment probes, the bool-implies lexicon
-# (against strings.ToLower) and the daemon's one-pass scan reply (against
+# (against strings.ToLower), the value-only templates (Validate and the
+# rule engine's counts from interpreted values, against the validators as
+# first written) and the daemon's one-pass scan reply (against
 # encoding/json); seed corpora always run as part of tier 1; this explores
 # beyond them.
 fuzz:
@@ -208,6 +210,7 @@ fuzz:
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzImageProbes -fuzztime 10s
 	$(GO) test ./internal/templates -fuzz FuzzNormBool -fuzztime 10s
+	$(GO) test ./internal/rules -fuzz FuzzValueTemplates -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzScanReply -fuzztime 10s
 
 fmt:

@@ -196,7 +196,7 @@ func (a *Advisor) adviseSuspicious(w *detect.Warning) (Advice, bool) {
 
 // histogram returns the attribute's value counts across the training set.
 func (a *Advisor) histogram(attr string) map[string]int {
-	return stats.Histogram(a.Training.Column(attr))
+	return a.Training.Histogram(attr)
 }
 
 // commonValue returns the most frequent training value of the attribute.

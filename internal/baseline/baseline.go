@@ -90,15 +90,12 @@ func (b *Detector) Check(img *sysimage.Image) ([]*Finding, error) {
 		if b.Training.Present(attr) == 0 {
 			continue
 		}
-		seen := map[string]bool{}
-		for _, v := range b.Training.Column(attr) {
-			seen[v] = true
-		}
+		seen := b.Training.Histogram(attr)
 		if b.MaxCardinality > 0 && len(seen) > b.MaxCardinality {
 			continue // peers disagree: a new value is not anomalous
 		}
 		for _, v := range values {
-			if seen[v] {
+			if seen[v] > 0 {
 				continue
 			}
 			icf := stats.ICF(len(seen), samples)

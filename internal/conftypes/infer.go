@@ -2,6 +2,7 @@ package conftypes
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/sysimage"
 )
@@ -80,66 +81,130 @@ func (inf *Inferencer) Def(t Type) *Def {
 // order: syntactic match on the required fraction of samples, followed by
 // semantic verification where the type defines one. Entries matching
 // nothing degrade to Number (if fully numeric) or String.
+//
+// A training entry takes few distinct values across many images, so the
+// value-only steps — the lexicon test, each definition's Match and the
+// numeric fallback — run once per distinct value; Verify, which reads the
+// sample's own image, runs per matching sample.
 func (inf *Inferencer) InferEntry(samples []Sample) Type {
 	if len(samples) == 0 {
 		return TypeString
 	}
-	allBool := true
-	for _, s := range samples {
-		if !IsBooleanWord(s.Value) {
-			allBool = false
-			break
+	sc := entryScratchPool.Get().(*entryScratch)
+	sc.index(samples)
+	t := inf.infer(samples, sc.values, sc.of, sc.match)
+	sc.release()
+	return t
+}
+
+// infer decides an entry's type. values holds the samples' distinct
+// non-empty values in first-appearance order, of holds each sample's index
+// into values (-1 for an empty value), and match is scratch with one slot
+// per distinct value.
+func (inf *Inferencer) infer(samples []Sample, values []string, of []int32, match []bool) Type {
+	nonEmpty := 0
+	for _, id := range of {
+		if id >= 0 {
+			nonEmpty++
 		}
 	}
-	if allBool {
+	// An empty value is not a boolean word, so one empty sample rules
+	// Boolean out.
+	if nonEmpty == len(samples) && allBooleanWords(values) {
 		return TypeBoolean
 	}
-	for _, def := range inf.Defs() {
-		matched := 0
-		verified := 0
-		for _, s := range samples {
-			if s.Value == "" || !def.Match(s.Value) {
+	for _, defs := range [2][]*Def{inf.custom, inf.predefined} {
+		for _, def := range defs {
+			hit := false
+			for i, v := range values {
+				match[i] = def.Match(v)
+				hit = hit || match[i]
+			}
+			if !hit {
 				continue
 			}
-			matched++
-			if def.Verify == nil || def.Verify(s.Value, s.Image) {
-				verified++
+			matched, verified := 0, 0
+			for i, id := range of {
+				if id < 0 || !match[id] {
+					continue
+				}
+				matched++
+				if def.Verify == nil || def.Verify(samples[i].Value, samples[i].Image) {
+					verified++
+				}
 			}
-		}
-		if matched == 0 {
-			continue
-		}
-		nonEmpty := 0
-		for _, s := range samples {
-			if s.Value != "" {
-				nonEmpty++
+			if float64(matched)/float64(nonEmpty) < inf.MatchFraction {
+				continue
 			}
+			if def.Verify != nil && float64(verified)/float64(matched) < inf.VerifyFraction {
+				continue
+			}
+			return def.Name
 		}
-		if nonEmpty == 0 {
-			continue
-		}
-		if float64(matched)/float64(nonEmpty) < inf.MatchFraction {
-			continue
-		}
-		if def.Verify != nil && float64(verified)/float64(matched) < inf.VerifyFraction {
-			continue
-		}
-		return def.Name
 	}
-	numeric := 0
-	for _, s := range samples {
-		if s.Value == "" {
-			continue
-		}
-		if !reNumber.MatchString(s.Value) {
+	if nonEmpty == 0 {
+		return TypeString
+	}
+	for _, v := range values {
+		if !reNumber.MatchString(v) {
 			return TypeString
 		}
-		numeric++
 	}
-	if numeric > 0 {
-		return TypeNumber
+	return TypeNumber
+}
+
+func allBooleanWords(values []string) bool {
+	for _, v := range values {
+		if !IsBooleanWord(v) {
+			return false
+		}
 	}
-	return TypeString
+	return true
+}
+
+// entryScratch indexes one InferEntry call's samples by distinct value.
+// Scratches are pooled, so a warm call allocates nothing.
+type entryScratch struct {
+	values []string
+	of     []int32
+	match  []bool
+	ids    map[string]int32
+}
+
+var entryScratchPool = sync.Pool{New: func() any { return &entryScratch{ids: make(map[string]int32)} }}
+
+func (sc *entryScratch) index(samples []Sample) {
+	for _, s := range samples {
+		sc.of = append(sc.of, sc.id(s.Value))
+	}
+	if cap(sc.match) < len(sc.values) {
+		sc.match = make([]bool, len(sc.values))
+	}
+	sc.match = sc.match[:len(sc.values)]
+}
+
+// id returns v's index in values, appending v if it is new; -1 for "".
+func (sc *entryScratch) id(v string) int32 {
+	if v == "" {
+		return -1
+	}
+	id, ok := sc.ids[v]
+	if !ok {
+		id = int32(len(sc.values))
+		sc.ids[v] = id
+		sc.values = append(sc.values, v)
+	}
+	return id
+}
+
+// release empties the scratch, dropping its references to the samples'
+// strings, and returns it to the pool.
+func (sc *entryScratch) release() {
+	clear(sc.values)
+	sc.values = sc.values[:0]
+	sc.of = sc.of[:0]
+	clear(sc.ids)
+	entryScratchPool.Put(sc)
 }
 
 // InferEntryNamed infers the entry's type like InferEntry and then applies
@@ -167,9 +232,18 @@ func (inf *Inferencer) InferEntryNamed(name string, samples []Sample) Type {
 
 // InferValue infers a type for a single value in the context of one image.
 // It is the path the anomaly detector uses when a target entry was never
-// seen in training.
+// seen in training, so it decides exactly as InferEntry does on one sample
+// without touching the scratch pool, and allocates nothing itself.
 func (inf *Inferencer) InferValue(value string, img *sysimage.Image) Type {
-	return inf.InferEntry([]Sample{{Value: value, Image: img}})
+	samples := [1]Sample{{Value: value, Image: img}}
+	values := [1]string{value}
+	of := [1]int32{0}
+	var match [1]bool
+	if value == "" {
+		of[0] = -1
+		return inf.infer(samples[:], values[:0], of[:], match[:0])
+	}
+	return inf.infer(samples[:], values[:], of[:], match[:])
 }
 
 // CheckValue validates a target value against a previously inferred type.

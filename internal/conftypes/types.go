@@ -16,6 +16,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/sysimage"
 )
@@ -113,19 +114,51 @@ func Atoi(v string) (int, bool) {
 	return n, err == nil
 }
 
-// booleanLexicon is the value set that marks Boolean entries. It includes
-// "0"/"1", which — exactly as in the paper — makes integer entries whose
-// training values happen to all be 0 or 1 infer as Boolean (a measured
-// false-type source in Table 11).
-var booleanLexicon = map[string]bool{
-	"on": true, "off": true, "true": true, "false": true,
-	"yes": true, "no": true, "0": true, "1": true,
-	"enabled": true, "disabled": true, "none": true,
+// ParseBool reads the boolean lexicon, ignoring case: on, true, yes, 1
+// and enabled read true; off, false, no, 0, disabled and none read false;
+// ok is false for any other value. The lexicon includes "0"/"1", which —
+// exactly as in the paper — makes integer entries whose training values
+// happen to all be 0 or 1 infer as Boolean (a measured false-type source
+// in Table 11).
+//
+// Type inference, the check plan's Boolean checker and the bool-implies
+// template all read values through it, so ASCII input is folded in a
+// stack buffer instead of allocating a lowered copy. Other input goes
+// through strings.ToLower first, whose Unicode mappings can land on the
+// lexicon (U+0130 lowers to 'i'), so the answer is strings.ToLower's for
+// every input.
+func ParseBool(v string) (value, ok bool) {
+	for i := 0; i < len(v); i++ {
+		if v[i] >= utf8.RuneSelf {
+			v = strings.ToLower(v)
+			break
+		}
+	}
+	var buf [len("disabled")]byte // the longest lexicon word
+	if len(v) > len(buf) {
+		return false, false
+	}
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	switch string(buf[:len(v)]) {
+	case "on", "true", "yes", "1", "enabled":
+		return true, true
+	case "off", "false", "no", "0", "disabled", "none":
+		return false, true
+	default:
+		return false, false
+	}
 }
 
 // IsBooleanWord reports whether the value belongs to the boolean lexicon.
 func IsBooleanWord(v string) bool {
-	return booleanLexicon[strings.ToLower(v)]
+	_, ok := ParseBool(v)
+	return ok
 }
 
 // mimeTopLevel is the IANA top-level media-type registry subset used for

@@ -165,6 +165,12 @@ func (d *Dataset) Cardinality(attr string) int {
 	return d.Index().Cardinality(attr)
 }
 
+// Histogram returns the attribute's value histogram (value → instance
+// count) from the columnar index's value dictionary.
+func (d *Dataset) Histogram(attr string) map[string]int {
+	return d.Index().Histogram(attr)
+}
+
 // OriginalAttrCount counts attribute occurrences the way mining tools see
 // them (Table 2 "Original"): every occurrence of an entry in every row is a
 // distinct attribute, so the count is the maximum total instance count over

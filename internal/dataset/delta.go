@@ -6,12 +6,19 @@
 // not touch. A shared column's bitset keeps its pre-delta word count —
 // shorter than the new snapshot's — which readers treat as implicit
 // trailing zeros (CoSupport and the rule engine's co-occurrence sweep both
-// clamp to the shorter set). Touched columns are deep-copied and their
-// entropy/cardinality recomputed with the same first-appearance-order
-// accumulation buildIndex uses, so a delta-maintained index is
-// field-for-field identical (floats included) to one rebuilt from scratch
-// over the same rows. Row retirement compacts in order — never
-// swap-removes — precisely to preserve that accumulation order.
+// clamp to the shorter set), and its row column and first-value IDs keep
+// their pre-delta length (the missing rows are absent). Touched columns
+// are copied. An added batch extends a touched column's dictionary: the
+// old entries keep their IDs and order, the batch's new values follow in
+// first-appearance order, and the counts are bumped in the copy. A
+// retirement rebuilds the dictionary of every column that lost cells over
+// the surviving rows, because retiring a value's first occurrence can move
+// that value behind others. Either way the dictionary is in the order a
+// from-scratch build would give it, and entropy is summed over its counts
+// in that order, so a delta-maintained index is field-for-field identical
+// (floats included) to one rebuilt from scratch over the same rows. Row
+// retirement compacts in order — never swap-removes — precisely to
+// preserve that order.
 package dataset
 
 import (
@@ -105,12 +112,14 @@ func (ix *Index) withRowsAdded(rows []*Row, base int) *Index {
 		if c, ok := touched[name]; ok {
 			return c
 		}
-		c := &colStats{bits: make([]uint64, nwords), rowVals: make([][]string, nrows)}
-		if old, ok := nix.cols[name]; ok {
-			copy(c.bits, old.bits)
-			copy(c.rowVals, old.rowVals)
-			c.present, c.instances = old.present, old.instances
+		old := ix.col(name)
+		c := &colStats{bits: make([]uint64, nwords), rowVals: make([][]string, nrows), firstIDs: make([]int32, nrows)}
+		copy(c.bits, old.bits)
+		copy(c.rowVals, old.rowVals)
+		for r := copy(c.firstIDs, old.firstIDs); r < nrows; r++ {
+			c.firstIDs[r] = -1
 		}
+		c.present, c.instances = old.present, old.instances
 		touched[name] = c
 		nix.cols[name] = c
 		return c
@@ -128,17 +137,33 @@ func (ix *Index) withRowsAdded(rows []*Row, base int) *Index {
 			c.instances += len(vs)
 		}
 	}
-	for _, c := range touched {
-		c.entropy, c.card = entropyAndCardinality(c.rowVals, c.instances)
+	var b dictBuilder
+	for name, c := range touched {
+		old := ix.col(name)
+		b.begin()
+		b.seed(old.dict, old.counts)
+		for r := base; r < nrows; r++ {
+			vs := c.rowVals[r]
+			if len(vs) == 0 {
+				continue
+			}
+			c.firstIDs[r] = b.add(vs[0])
+			for _, v := range vs[1:] {
+				b.add(v)
+			}
+		}
+		b.end(c)
 	}
+	b.finish()
 	return nix
 }
 
 // withRowsRetired builds the post-retirement snapshot. removedAt marks the
 // retired positions in the pre-retirement row order. Every column is
 // re-packed (row indices shift), but only columns that actually lost cells
-// pay the entropy recomputation — for the rest the surviving value
-// sequence is unchanged, so the memoized statistics are carried over.
+// pay the dictionary rebuild — for the rest the surviving value sequence
+// is unchanged, so the dictionary and memoized statistics are carried
+// over and only the first-value IDs move with their rows.
 func (ix *Index) withRowsRetired(removedAt []bool) *Index {
 	nrows := ix.rows
 	for _, rm := range removedAt {
@@ -148,13 +173,15 @@ func (ix *Index) withRowsRetired(removedAt []bool) *Index {
 	}
 	nwords := (nrows + 63) / 64
 	nix := &Index{rows: nrows, words: nwords, cols: make(map[string]*colStats, len(ix.cols))}
+	var b dictBuilder
 	for name, old := range ix.cols {
-		c := &colStats{bits: make([]uint64, nwords), rowVals: make([][]string, nrows)}
+		c := &colStats{bits: make([]uint64, nwords), rowVals: make([][]string, nrows), firstIDs: make([]int32, nrows)}
 		w := 0
 		for r := 0; r < ix.rows; r++ {
 			if r < len(removedAt) && removedAt[r] {
 				continue
 			}
+			c.firstIDs[w] = -1
 			var vs []string
 			if r < len(old.rowVals) {
 				vs = old.rowVals[r]
@@ -162,17 +189,19 @@ func (ix *Index) withRowsRetired(removedAt []bool) *Index {
 			if len(vs) > 0 {
 				c.bits[w>>6] |= 1 << (w & 63)
 				c.rowVals[w] = vs
+				c.firstIDs[w] = old.firstIDs[r]
 				c.present++
 				c.instances += len(vs)
 			}
 			w++
 		}
 		if c.present == old.present {
-			c.entropy, c.card = old.entropy, old.card
+			c.dict, c.counts, c.entropy = old.dict, old.counts, old.entropy
 		} else {
-			c.entropy, c.card = entropyAndCardinality(c.rowVals, c.instances)
+			b.column(c)
 		}
 		nix.cols[name] = c
 	}
+	b.finish()
 	return nix
 }

@@ -3,6 +3,8 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/conftypes"
@@ -22,9 +24,10 @@ func freshOracle(d *Dataset) *Dataset {
 
 // requireIndexEqual compares two columnar snapshots attribute by attribute
 // — presence, instance counts, exact float entropy, cardinality, bit-level
-// co-support, and the per-row value columns. Delta snapshots may carry
-// shorter bitsets for untouched columns; equality is on the semantics, not
-// the physical word count.
+// co-support, the per-row value columns, and the value dictionaries:
+// values in order, counts, first-value IDs and histograms. Delta snapshots
+// may carry shorter bitsets, row columns and ID columns for untouched
+// columns; equality is on the semantics, not the physical length.
 func requireIndexEqual(t *testing.T, step string, got, want *Index, attrs []Attribute) {
 	t.Helper()
 	if got.Rows() != want.Rows() {
@@ -61,6 +64,27 @@ func requireIndexEqual(t *testing.T, step string, got, want *Index, attrs []Attr
 				}
 			}
 		}
+		gVals, gCounts := got.Dict(a.Name)
+		wVals, wCounts := want.Dict(a.Name)
+		if !slices.Equal(gVals, wVals) || !slices.Equal(gCounts, wCounts) {
+			t.Fatalf("%s: Dict(%s) = %q %v, want %q %v", step, a.Name, gVals, gCounts, wVals, wCounts)
+		}
+		gIDs, wIDs := got.FirstIDs(a.Name), want.FirstIDs(a.Name)
+		for r := 0; r < want.Rows(); r++ {
+			g, w := int32(-1), int32(-1)
+			if r < len(gIDs) {
+				g = gIDs[r]
+			}
+			if r < len(wIDs) {
+				w = wIDs[r]
+			}
+			if g != w {
+				t.Fatalf("%s: FirstIDs(%s)[%d] = %d, want %d", step, a.Name, r, g, w)
+			}
+		}
+		if g, w := got.Histogram(a.Name), want.Histogram(a.Name); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: Histogram(%s) = %v, want %v", step, a.Name, g, w)
+		}
 	}
 	for _, a := range attrs {
 		for _, b := range attrs {
@@ -88,9 +112,29 @@ func randomRow(rng *rand.Rand, id string, attrPool []string) *Row {
 	return row
 }
 
+// firstOccurrenceRow returns the ID of the first row holding attr whose
+// first value also appears in a later row — retiring it moves that value
+// behind others in the dictionary — or "" if there is none.
+func firstOccurrenceRow(d *Dataset, attr string) string {
+	for i, row := range d.Rows {
+		vs := row.Cells[attr]
+		if len(vs) == 0 {
+			continue
+		}
+		for _, later := range d.Rows[i+1:] {
+			if slices.Contains(later.Cells[attr], vs[0]) {
+				return row.SystemID
+			}
+		}
+		return ""
+	}
+	return ""
+}
+
 // TestDeltaIndexMatchesRebuild drives a randomized add/retire sequence and
 // checks after every mutation that the delta-maintained index is
-// indistinguishable from one built from scratch over the same rows.
+// indistinguishable from one built from scratch over the same rows,
+// value dictionaries included.
 func TestDeltaIndexMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -112,9 +156,10 @@ func TestDeltaIndexMatchesRebuild(t *testing.T) {
 			// by delta rather than rebuilding lazily.
 			d.Index()
 
+			reordered := 0
 			for step := 0; step < 30; step++ {
 				label := fmt.Sprintf("step %d", step)
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0: // add a batch
 					d.AddRows(newRows(1 + rng.Intn(3))...)
 				case 1: // retire a random subset
@@ -132,14 +177,51 @@ func TestDeltaIndexMatchesRebuild(t *testing.T) {
 					batch := newRows(2)
 					d.AddRows(batch...)
 					d.RetireRows(d.Rows[0].SystemID, d.Rows[1].SystemID)
+				case 3: // retire a value's first occurrence while later rows keep it
+					attr := attrPool[rng.Intn(len(attrPool))]
+					id := firstOccurrenceRow(d, attr)
+					if id == "" {
+						d.AddRows(newRows(2)...)
+						break
+					}
+					before, _ := d.Index().Dict(attr)
+					d.RetireRows(id)
+					after, _ := d.Index().Dict(attr)
+					if !slices.Equal(before, after) {
+						reordered++
+					}
 				}
 				if d.idx.Load() == nil {
 					t.Fatalf("%s: mutation dropped the cached index instead of maintaining it", label)
 				}
 				requireIndexEqual(t, label, d.Index(), freshOracle(d).Index(), d.Attributes())
 			}
+			if reordered == 0 {
+				t.Fatal("no retirement moved a value within its dictionary")
+			}
 		})
 	}
+}
+
+// TestRetireFirstOccurrenceMovesValue pins the retire rule on a column
+// small enough to read: retiring the row that holds a value's first
+// occurrence, while a later row still holds it, moves the value behind
+// the values first seen in between.
+func TestRetireFirstOccurrenceMovesValue(t *testing.T) {
+	d := New()
+	for i, v := range []string{"a", "b", "c", "a"} {
+		d.AddRows(&Row{SystemID: fmt.Sprintf("s%d", i), Cells: map[string][]string{"app:x": {v}}})
+	}
+	d.Index()
+	d.RetireRows("s0")
+	values, counts := d.Index().Dict("app:x")
+	if !slices.Equal(values, []string{"b", "c", "a"}) || !slices.Equal(counts, []int{1, 1, 1}) {
+		t.Fatalf("Dict after retiring the first occurrence = %q %v, want [b c a] [1 1 1]", values, counts)
+	}
+	if ids := d.Index().FirstIDs("app:x"); !slices.Equal(ids, []int32{0, 1, 2}) {
+		t.Fatalf("FirstIDs = %v, want [0 1 2]", ids)
+	}
+	requireIndexEqual(t, "retire s0", d.Index(), freshOracle(d).Index(), d.Attributes())
 }
 
 // TestAddRowsDeclaresNewAttrs locks the declaration semantics: attributes

@@ -1,5 +1,5 @@
 // Columnar index: a per-attribute snapshot of the dataset with presence
-// bitsets and memoized statistics.
+// bitsets, value dictionaries and memoized statistics.
 //
 // The assembled table is row-oriented (one map of cells per system image),
 // which is the natural shape for assembly but the wrong shape for rule
@@ -12,8 +12,16 @@
 //   - each attribute's per-row instance slices are laid out in a dense
 //     column, so validation sweeps index a slice instead of hashing into
 //     every row's cell map;
+//   - each attribute gets a value dictionary: its distinct values in
+//     first-appearance order (row order, then instance order), each value's
+//     instance count, and every row's first-value ID. A training column
+//     holds few distinct values, so whoever interprets values (the rule
+//     engine's value-only templates) does so once per dictionary entry, and
+//     histograms come from the counts without recounting the column;
 //   - entropy, cardinality, presence, and total instance counts are
-//     computed once per snapshot and served from the cache.
+//     computed once per snapshot and served from the cache. Entropy is
+//     summed over the dictionary counts in dictionary order, so it is the
+//     same float on every run.
 //
 // The snapshot is invalidated (not updated in place) by the row mutators
 // Add and NewRow, and lazily rebuilt on the next access; DeclareAttr keeps
@@ -39,14 +47,19 @@ type colStats struct {
 	// rowVals holds each row's instance slice (nil for absent rows). The
 	// slices alias the row storage; the snapshot is discarded on mutation.
 	rowVals [][]string
+	// dict holds the distinct instance values in first-appearance order
+	// (row order, then instance order) and counts each one's instances.
+	dict   []string
+	counts []int
+	// firstIDs holds each row's first value as an index into dict, -1 for
+	// absent rows.
+	firstIDs []int32
 	// present is popcount(bits): the number of rows with the attribute.
 	present int
 	// instances is the total instance count across all rows.
 	instances int
 	// entropy is the Shannon entropy of the value distribution.
 	entropy float64
-	// card is the number of distinct instance values.
-	card int
 }
 
 // Index is an immutable columnar snapshot of a dataset. Obtain one with
@@ -81,8 +94,9 @@ func (ix *Index) Instances(attr string) int { return ix.col(attr).instances }
 // distribution.
 func (ix *Index) Entropy(attr string) float64 { return ix.col(attr).entropy }
 
-// Cardinality returns the memoized distinct-value count.
-func (ix *Index) Cardinality(attr string) int { return ix.col(attr).card }
+// Cardinality returns the number of distinct instance values: the size of
+// the attribute's dictionary.
+func (ix *Index) Cardinality(attr string) int { return len(ix.col(attr).dict) }
 
 // PresenceBits returns the attribute's presence bitset (bit r set iff row
 // r has the attribute). The returned slice is shared and must be treated
@@ -93,6 +107,32 @@ func (ix *Index) PresenceBits(attr string) []uint64 { return ix.col(attr).bits }
 // (nil for rows where the attribute is absent). Shared storage — read
 // only. It is nil for unknown attributes.
 func (ix *Index) RowValues(attr string) [][]string { return ix.col(attr).rowVals }
+
+// Dict returns the attribute's value dictionary: its distinct values in
+// first-appearance order and each value's instance count. Shared storage
+// — read only. Both are empty for unknown or empty attributes.
+func (ix *Index) Dict(attr string) (values []string, counts []int) {
+	c := ix.col(attr)
+	return c.dict, c.counts
+}
+
+// FirstIDs returns, for each row, the dictionary index of the row's first
+// value of the attribute, or -1 where the attribute is absent. Shared
+// storage — read only. A delta snapshot may return fewer entries than
+// Rows(); the missing rows are absent.
+func (ix *Index) FirstIDs(attr string) []int32 { return ix.col(attr).firstIDs }
+
+// Histogram returns the attribute's value histogram (value → instance
+// count), read off the dictionary. The map is the caller's; it is empty,
+// not nil, for an attribute with no values.
+func (ix *Index) Histogram(attr string) map[string]int {
+	c := ix.col(attr)
+	h := make(map[string]int, len(c.dict))
+	for i, v := range c.dict {
+		h[v] = c.counts[i]
+	}
+	return h
+}
 
 // CoSupport returns the number of rows in which both attributes appear:
 // popcount(bitsA AND bitsB), O(rows/64).
@@ -112,15 +152,21 @@ func (ix *Index) CoSupport(attrA, attrB string) int {
 }
 
 // buildIndex scans the table once and assembles the columnar snapshot.
+// The declared columns, their bitsets and their first-value IDs are cut
+// from one allocation each. A delta snapshot that shares one of these
+// columns keeps the whole snapshot reachable; delta columns are allocated
+// one by one, so at most one full snapshot is held beyond the current one.
 func buildIndex(d *Dataset) *Index {
 	rows := len(d.Rows)
 	words := (rows + 63) / 64
 	ix := &Index{rows: rows, words: words, cols: make(map[string]*colStats, len(d.attrs))}
-	newCol := func() *colStats {
-		return &colStats{bits: make([]uint64, words), rowVals: make([][]string, rows)}
-	}
-	for _, a := range d.attrs {
-		ix.cols[a.Name] = newCol()
+	cols := make([]colStats, len(d.attrs))
+	bitSlab := make([]uint64, len(d.attrs)*words)
+	for i, a := range d.attrs {
+		c := &cols[i]
+		c.bits = bitSlab[i*words : (i+1)*words : (i+1)*words]
+		c.rowVals = make([][]string, rows)
+		ix.cols[a.Name] = c
 	}
 	for r, row := range d.Rows {
 		for name, vs := range row.Cells {
@@ -131,7 +177,7 @@ func buildIndex(d *Dataset) *Index {
 			if !ok {
 				// Cells can only gain attributes through Add, which
 				// declares the column; tolerate hand-built rows anyway.
-				c = newCol()
+				c = &colStats{bits: make([]uint64, words), rowVals: make([][]string, rows)}
 				ix.cols[name] = c
 			}
 			c.bits[r>>6] |= 1 << (r & 63)
@@ -140,35 +186,118 @@ func buildIndex(d *Dataset) *Index {
 			c.instances += len(vs)
 		}
 	}
+	idSlab := make([]int32, len(ix.cols)*rows)
+	var b dictBuilder
+	i := 0
 	for _, c := range ix.cols {
-		c.entropy, c.card = entropyAndCardinality(c.rowVals, c.instances)
+		c.firstIDs = idSlab[i*rows : (i+1)*rows : (i+1)*rows]
+		b.column(c)
+		i++
 	}
+	b.finish()
 	return ix
 }
 
-// entropyAndCardinality computes the Shannon entropy (natural log) and
-// distinct-value count of a column. Values are accumulated in first-
-// appearance order so the floating-point sum — unlike one over Go's
-// randomized map iteration — is identical on every run.
-func entropyAndCardinality(rowVals [][]string, instances int) (float64, int) {
-	if instances == 0 {
-		return 0, 0
-	}
-	counts := make(map[string]int, instances)
-	order := make([]string, 0, instances)
-	for _, vs := range rowVals {
-		for _, v := range vs {
-			if counts[v] == 0 {
-				order = append(order, v)
-			}
-			counts[v]++
+// dictBuilder builds the value dictionaries of a snapshot's columns, one
+// column at a time. Every column's entries are appended to one shared
+// slab and cut from it by finish, so a snapshot's dictionaries cost a few
+// allocations rather than two per column.
+type dictBuilder struct {
+	values []string
+	counts []int
+	// start is where the current column's entries begin in the slab.
+	start int
+	// ids maps each value of the current column to its ID.
+	ids  map[string]int32
+	cols []builtDict
+}
+
+// builtDict records where a column's dictionary lies in the slab until
+// finish cuts it out.
+type builtDict struct {
+	c      *colStats
+	lo, hi int
+}
+
+// column builds c's dictionary, first-value IDs and entropy from its row
+// column. c.firstIDs must be as long as c.rowVals.
+func (b *dictBuilder) column(c *colStats) {
+	b.begin()
+	for r, vs := range c.rowVals {
+		if len(vs) == 0 {
+			c.firstIDs[r] = -1
+			continue
 		}
+		c.firstIDs[r] = b.add(vs[0])
+		for _, v := range vs[1:] {
+			b.add(v)
+		}
+	}
+	b.end(c)
+}
+
+// begin starts a new column.
+func (b *dictBuilder) begin() {
+	b.start = len(b.values)
+	if b.ids == nil {
+		b.ids = make(map[string]int32)
+	}
+	clear(b.ids)
+}
+
+// seed appends an existing dictionary to the current column in order:
+// the delta path extends a column's dictionary copy-on-write.
+func (b *dictBuilder) seed(values []string, counts []int) {
+	for i, v := range values {
+		b.ids[v] = int32(i)
+	}
+	b.values = append(b.values, values...)
+	b.counts = append(b.counts, counts...)
+}
+
+// add counts one instance of v in the current column and returns v's
+// dictionary ID, appending v if it is new.
+func (b *dictBuilder) add(v string) int32 {
+	if id, ok := b.ids[v]; ok {
+		b.counts[b.start+int(id)]++
+		return id
+	}
+	id := int32(len(b.values) - b.start)
+	b.ids[v] = id
+	b.values = append(b.values, v)
+	b.counts = append(b.counts, 1)
+	return id
+}
+
+// end closes the current column: its entropy is summed over the counts
+// in dictionary order, and the slab range is recorded for finish.
+func (b *dictBuilder) end(c *colStats) {
+	c.entropy = entropyOf(b.counts[b.start:], c.instances)
+	b.cols = append(b.cols, builtDict{c: c, lo: b.start, hi: len(b.values)})
+}
+
+// finish hands every built column its dictionary, cut from the final slab
+// (appends may have moved it while later columns were built).
+func (b *dictBuilder) finish() {
+	for _, bd := range b.cols {
+		bd.c.dict = b.values[bd.lo:bd.hi:bd.hi]
+		bd.c.counts = b.counts[bd.lo:bd.hi:bd.hi]
+	}
+}
+
+// entropyOf computes the Shannon entropy (natural log) of a column from
+// its dictionary counts. Summing in dictionary (first-appearance) order
+// keeps the floating-point result, unlike a sum over Go's randomized map
+// iteration, identical on every run.
+func entropyOf(counts []int, instances int) float64 {
+	if instances == 0 {
+		return 0
 	}
 	h := 0.0
 	total := float64(instances)
-	for _, v := range order {
-		p := float64(counts[v]) / total
+	for _, n := range counts {
+		p := float64(n) / total
 		h -= p * math.Log(p)
 	}
-	return h, len(order)
+	return h
 }

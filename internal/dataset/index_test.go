@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -160,6 +162,33 @@ func TestIndexMatchesNaive(t *testing.T) {
 			}
 			if math.Abs(ix.Entropy(a)-stats.EntropyOfValues(col)) > 1e-12 {
 				t.Fatalf("seed %d attr %s: entropy %v vs %v", seed, a, ix.Entropy(a), stats.EntropyOfValues(col))
+			}
+			// The dictionary is the column's distinct values in first-
+			// appearance order, and each row's ID names its first value.
+			var order []string
+			for _, v := range col {
+				if !slices.Contains(order, v) {
+					order = append(order, v)
+				}
+			}
+			values, counts := ix.Dict(a)
+			if !slices.Equal(values, order) {
+				t.Fatalf("seed %d attr %s: Dict values %q, want %q", seed, a, values, order)
+			}
+			hist := stats.Histogram(col)
+			for i, v := range values {
+				if counts[i] != hist[v] {
+					t.Fatalf("seed %d attr %s: Dict count of %q = %d, want %d", seed, a, v, counts[i], hist[v])
+				}
+			}
+			if got := ix.Histogram(a); !reflect.DeepEqual(got, hist) {
+				t.Fatalf("seed %d attr %s: Histogram %v, want %v", seed, a, got, hist)
+			}
+			for r, row := range d.Rows {
+				id := ix.FirstIDs(a)[r]
+				if vs := row.Cells[a]; len(vs) == 0 && id != -1 || len(vs) > 0 && (id < 0 || values[id] != vs[0]) {
+					t.Fatalf("seed %d attr %s: FirstIDs[%d] = %d for row %v", seed, a, r, id, vs)
+				}
 			}
 			gotCol := d.Column(a)
 			if len(gotCol) != len(col) {

@@ -1,13 +1,14 @@
 package detect
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/assemble"
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
 	"repro/internal/rules"
-	"repro/internal/stats"
 	"repro/internal/templates"
 )
 
@@ -103,9 +104,11 @@ func (p *Plan) Spec() *PlanSpec {
 
 // SpecFromDataset builds the plan spec of a live training set and its
 // learned rules: attributes in declaration order, one type declaration per
-// attribute, and the rules as given. SuspLimit is left at 0 (no cap).
+// attribute, and the rules as given. SuspLimit is left at 0 (no cap). The
+// histograms are read off the columnar index's value dictionaries.
 func SpecFromDataset(ds *dataset.Dataset, learned []*rules.Rule) *PlanSpec {
 	attrs := ds.Attributes()
+	ix := ds.Index()
 	spec := &PlanSpec{
 		Samples: len(ds.Rows),
 		Attrs:   make([]PlanSpecAttr, len(attrs)),
@@ -113,7 +116,16 @@ func SpecFromDataset(ds *dataset.Dataset, learned []*rules.Rule) *PlanSpec {
 		Rules:   learned,
 	}
 	for i, a := range attrs {
-		spec.Attrs[i] = SpecAttr(a, ds.Present(a.Name), stats.Histogram(ds.Column(a.Name)))
+		values, counts := ix.Dict(a.Name)
+		var hist []PlanSpecHistEntry
+		if len(values) > 0 {
+			hist = make([]PlanSpecHistEntry, len(values))
+			for j, v := range values {
+				hist[j] = PlanSpecHistEntry{Value: v, Count: counts[j]}
+			}
+			sortHist(hist)
+		}
+		spec.Attrs[i] = specAttr(a, ix.Present(a.Name), hist)
 		spec.Types[i] = PlanSpecType{Name: a.Name, Type: a.Type}
 	}
 	return spec
@@ -122,13 +134,17 @@ func SpecFromDataset(ds *dataset.Dataset, learned []*rules.Rule) *PlanSpec {
 // SpecAttr builds one attribute's spec entry from its declaration, the
 // number of training systems that set it, and its value histogram.
 func SpecAttr(a dataset.Attribute, present int, hist map[string]int) PlanSpecAttr {
+	return specAttr(a, present, sortedHist(hist))
+}
+
+func specAttr(a dataset.Attribute, present int, hist []PlanSpecHistEntry) PlanSpecAttr {
 	return PlanSpecAttr{
 		Name:      a.Name,
 		Type:      a.Type,
 		Augmented: a.Augmented,
 		Has:       present > 0,
 		Sig:       charSig(a.Name),
-		Hist:      sortedHist(hist),
+		Hist:      hist,
 	}
 }
 
@@ -142,8 +158,14 @@ func sortedHist(m map[string]int) []PlanSpecHistEntry {
 	for v, n := range m {
 		hist = append(hist, PlanSpecHistEntry{Value: v, Count: n})
 	}
-	sort.Slice(hist, func(a, b int) bool { return hist[a].Value < hist[b].Value })
+	sortHist(hist)
 	return hist
+}
+
+// sortHist orders histogram buckets by value; values are distinct, so the
+// order is total.
+func sortHist(hist []PlanSpecHistEntry) {
+	slices.SortFunc(hist, func(a, b PlanSpecHistEntry) int { return strings.Compare(a.Value, b.Value) })
 }
 
 // NewPlanFromSpec builds a live Plan from a spec, resolving type checkers

@@ -18,7 +18,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/rules"
-	"repro/internal/stats"
 )
 
 // AttrProfile is one attribute's learned summary.
@@ -38,16 +37,18 @@ type Profile struct {
 	Rules   []*rules.Rule `json:"rules"`
 }
 
-// Build summarizes a training dataset and its learned rules.
+// Build summarizes a training dataset and its learned rules. Presence and
+// histograms are read off the dataset's columnar index.
 func Build(training *dataset.Dataset, learned []*rules.Rule) *Profile {
 	p := &Profile{Samples: len(training.Rows), Rules: learned}
+	ix := training.Index()
 	for _, a := range training.Attributes() {
 		p.Attrs = append(p.Attrs, AttrProfile{
 			Name:      a.Name,
 			Type:      string(a.Type),
 			Augmented: a.Augmented,
-			Present:   training.Present(a.Name),
-			Histogram: stats.Histogram(training.Column(a.Name)),
+			Present:   ix.Present(a.Name),
+			Histogram: ix.Histogram(a.Name),
 		})
 	}
 	return p

@@ -131,10 +131,15 @@ func (e *Engine) InferDelta(d *dataset.Dataset, images map[string]*sysimage.Imag
 		telemetry.A("stale", strconv.FormatBool(stale)))
 	defer root.End()
 
+	addedCtxs := rowContexts(added, images)
+	retiredCtxs := rowContexts(retired, images)
+	// Meaning columns are built only for the candidates that need a full
+	// sweep.
+	mt := newMeaningTable(ix)
 	newTallies := make(map[candKey]candTally, len(st.tallies))
 	var tally inferTally
 	candidates, reused, revalidated := 0, 0, 0
-	e.forEachCandidate(d, func(c candidate) {
+	e.forEachCandidate(d, nil, func(c candidate) {
 		candidates++
 		key := candKey{tpl: c.tpl.ID, attrA: c.attrA, attrB: c.attrB}
 		var r *Rule
@@ -142,22 +147,22 @@ func (e *Engine) InferDelta(d *dataset.Dataset, images map[string]*sysimage.Imag
 		var ct candTally
 		old, ok := st.tallies[key]
 		if stale || !ok || changed[c.attrA] || changed[c.attrB] {
-			r, reason, ct = e.evaluateCandidate(ix, ctxs, c)
+			r, reason, ct = e.evaluateCandidate(ix, ctxs, mt.resolve(c))
 			revalidated++
 		} else {
 			ct = old
-			for _, row := range added {
-				e.applyRowDelta(&ct, c, row, images[row.SystemID], +1)
+			for i := range addedCtxs {
+				applyRowDelta(&ct, c, &addedCtxs[i], +1)
 			}
-			for _, row := range retired {
-				e.applyRowDelta(&ct, c, row, images[row.SystemID], -1)
+			for i := range retiredCtxs {
+				applyRowDelta(&ct, c, &retiredCtxs[i], -1)
 			}
 			if !ct.validated && ct.support > 0 &&
 				stats.SupportFraction(ct.support, total) >= e.Config.MinSupportFraction {
 				// Previously support-pruned, now above threshold: the
 				// applicable/valid counts were never computed, so this
 				// candidate needs its first full sweep.
-				r, reason, ct = e.evaluateCandidate(ix, ctxs, c)
+				r, reason, ct = e.evaluateCandidate(ix, ctxs, mt.resolve(c))
 				revalidated++
 			} else {
 				r, reason = e.classify(ix, c, total, ct)
@@ -189,13 +194,22 @@ func (e *Engine) InferDelta(d *dataset.Dataset, images map[string]*sysimage.Imag
 	return rules
 }
 
+// rowContexts builds the evaluation contexts of a delta's rows.
+func rowContexts(rows []*dataset.Row, images map[string]*sysimage.Image) []templates.Ctx {
+	ctxs := make([]templates.Ctx, len(rows))
+	for i, row := range rows {
+		ctxs[i] = templates.Ctx{Row: row, Image: images[row.SystemID]}
+	}
+	return ctxs
+}
+
 // applyRowDelta folds one row into (sign +1) or out of (sign -1) a
 // candidate's tally. Support moves whenever both attributes are present;
 // applicable/valid move only for tallies whose sweep ran — a pruned tally
 // maintains support alone, which is all its classification reads.
-func (e *Engine) applyRowDelta(ct *candTally, c candidate, row *dataset.Row, img *sysimage.Image, sign int) {
-	va := row.Instances(c.attrA)
-	vb := row.Instances(c.attrB)
+func applyRowDelta(ct *candTally, c candidate, ctx *templates.Ctx, sign int) {
+	va := ctx.Row.Instances(c.attrA)
+	vb := ctx.Row.Instances(c.attrB)
 	if len(va) == 0 || len(vb) == 0 {
 		return
 	}
@@ -203,7 +217,7 @@ func (e *Engine) applyRowDelta(ct *candTally, c candidate, row *dataset.Row, img
 	if !ct.validated {
 		return
 	}
-	holds, app := c.tpl.Validate(va, vb, &templates.Ctx{Row: row, Image: img})
+	holds, app := c.tpl.Validate(va, vb, ctx)
 	if !app {
 		return
 	}

@@ -13,14 +13,15 @@
 // candidates die before any per-system validation, the validation sweep
 // itself iterates only the co-occurrence bitset, and the entropy filter
 // reads memoized per-attribute entropies instead of rebuilding value
-// histograms per candidate. InferSerial remains the index-free,
-// single-threaded oracle; the two are equivalence-tested on rules and
-// Stats alike.
+// histograms per candidate. Value-only templates are not validated row by
+// row at all: each distinct value of a column is interpreted once and the
+// candidate is counted from the meanings (see meanings.go). InferSerial
+// remains the index-free, single-threaded oracle that calls Validate on
+// every row; the two are equivalence-tested on rules and Stats alike.
 package rules
 
 import (
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"math/bits"
 	"reflect"
@@ -150,7 +151,7 @@ type Engine struct {
 	ctxMu      sync.Mutex
 	ctxData    *dataset.Dataset
 	ctxImgsKey uintptr
-	ctxs       []*templates.Ctx
+	ctxs       []templates.Ctx
 }
 
 // NewEngine returns an engine with the predefined templates and default
@@ -165,10 +166,13 @@ func (e *Engine) AddTemplate(t *templates.Template) {
 }
 
 // candidate is one (template, attrA, attrB) instantiation to evaluate.
+// ma and mb are a value-only template's meaning columns once resolved
+// (see meanings.go); nil means the candidate is validated row by row.
 type candidate struct {
-	tpl   *templates.Template
-	attrA string
-	attrB string
+	tpl    *templates.Template
+	attrA  string
+	attrB  string
+	ma, mb *meanings
 }
 
 // inferTally accumulates one worker's share of an inference run, merged
@@ -282,8 +286,11 @@ func (e *Engine) infer(d *dataset.Dataset, images map[string]*sysimage.Image, ca
 			ws.End()
 		}(w, &tallies[w])
 	}
+	// The meaning columns are built here, on the enumerating goroutine;
+	// workers only read them.
+	mt := newMeaningTable(ix)
 	candidates := 0
-	e.forEachCandidate(d, func(c candidate) {
+	e.forEachCandidate(d, mt, func(c candidate) {
 		candidates++
 		next <- c
 	})
@@ -335,7 +342,7 @@ func (e *Engine) InferSerial(d *dataset.Dataset, images map[string]*sysimage.Ima
 	var tally inferTally
 	var local telemetry.Histogram
 	candidates := 0
-	e.forEachCandidate(d, func(c candidate) {
+	e.forEachCandidate(d, nil, func(c candidate) {
 		candidates++
 		var start time.Time
 		if timed {
@@ -359,11 +366,15 @@ func (e *Engine) InferSerial(d *dataset.Dataset, images map[string]*sysimage.Ima
 // forEachCandidate enumerates every eligible (template, attrA, attrB) pair
 // without materializing the instantiation space. Type-based attribute
 // selection happens here: this is what keeps the candidate space tractable
-// compared with frequent-item-set mining.
-func (e *Engine) forEachCandidate(d *dataset.Dataset, yield func(candidate)) {
+// compared with frequent-item-set mining. With a meaning table, each
+// value-only candidate carries its meaning columns, resolved once per
+// eligible attribute and template rather than per candidate.
+func (e *Engine) forEachCandidate(d *dataset.Dataset, mt *meaningTable, yield func(candidate)) {
 	attrs := d.Attributes()
+	var as, bs []dataset.Attribute
+	var ma, mb []*meanings
 	for _, tpl := range e.Templates {
-		var as, bs []dataset.Attribute
+		as, bs = as[:0], bs[:0]
 		for _, a := range attrs {
 			if tpl.EligibleA(a) {
 				as = append(as, a)
@@ -372,8 +383,9 @@ func (e *Engine) forEachCandidate(d *dataset.Dataset, yield func(candidate)) {
 				bs = append(bs, a)
 			}
 		}
-		for _, a := range as {
-			for _, b := range bs {
+		ma, mb = mt.columns(ma[:0], as, tpl.Interp), mt.columns(mb[:0], bs, tpl.Interp)
+		for i, a := range as {
+			for j, b := range bs {
 				if a.Name == b.Name {
 					continue
 				}
@@ -389,7 +401,11 @@ func (e *Engine) forEachCandidate(d *dataset.Dataset, yield func(candidate)) {
 				if isOwnAugment(a, b) || isOwnAugment(b, a) {
 					continue
 				}
-				yield(candidate{tpl: tpl, attrA: a.Name, attrB: b.Name})
+				c := candidate{tpl: tpl, attrA: a.Name, attrB: b.Name}
+				if len(ma) > 0 {
+					c.ma, c.mb = ma[i], mb[j]
+				}
+				yield(c)
 			}
 		}
 	}
@@ -400,7 +416,7 @@ func (e *Engine) forEachCandidate(d *dataset.Dataset, yield func(candidate)) {
 // worst case costs no per-candidate allocation.
 func (e *Engine) CandidateCount(d *dataset.Dataset) int {
 	n := 0
-	e.forEachCandidate(d, func(candidate) { n++ })
+	e.forEachCandidate(d, nil, func(candidate) { n++ })
 	return n
 }
 
@@ -414,8 +430,8 @@ func isOwnAugment(aug, base dataset.Attribute) bool {
 // contexts returns the per-row evaluation contexts, memoized across runs
 // over the same (dataset, image map) pair so repeated inference — the
 // threshold sweep's 15 runs, Table 13's filtered/unfiltered pair — builds
-// them once.
-func (e *Engine) contexts(d *dataset.Dataset, images map[string]*sysimage.Image) []*templates.Ctx {
+// them once, in one allocation.
+func (e *Engine) contexts(d *dataset.Dataset, images map[string]*sysimage.Image) []templates.Ctx {
 	var key uintptr
 	if images != nil {
 		key = reflect.ValueOf(images).Pointer()
@@ -428,8 +444,8 @@ func (e *Engine) contexts(d *dataset.Dataset, images map[string]*sysimage.Image)
 		// followed by an equal-sized retire leaves the count unchanged with
 		// different rows. Verify row identity before trusting the hit.
 		fresh := true
-		for i, ctx := range e.ctxs {
-			if ctx.Row != d.Rows[i] {
+		for i := range e.ctxs {
+			if e.ctxs[i].Row != d.Rows[i] {
 				fresh = false
 				break
 			}
@@ -438,23 +454,24 @@ func (e *Engine) contexts(d *dataset.Dataset, images map[string]*sysimage.Image)
 			return e.ctxs
 		}
 	}
-	ctxs := make([]*templates.Ctx, len(d.Rows))
+	ctxs := make([]templates.Ctx, len(d.Rows))
 	for i, row := range d.Rows {
-		ctxs[i] = &templates.Ctx{Row: row, Image: images[row.SystemID]}
+		ctxs[i] = templates.Ctx{Row: row, Image: images[row.SystemID]}
 	}
 	e.ctxData, e.ctxImgsKey, e.ctxs = d, key, ctxs
 	return ctxs
 }
 
 // evaluateCandidate validates one candidate using the columnar index:
-// support comes from the presence bitsets, the validation sweep visits
-// only co-occurrence rows, and the entropy filter reads memoized values.
-// The returned candTally carries the raw counts (for incremental
-// maintenance, see incremental.go); tally.validated is false when the
-// candidate died on the support filter before any Validate call. A nil
-// rule is accompanied by the reason the candidate died; the
+// support comes from the presence bitsets, a value-only candidate is
+// counted from its meaning columns, any other candidate's validation
+// sweep visits only co-occurrence rows, and the entropy filter reads
+// memoized values. The returned candTally carries the raw counts (for
+// incremental maintenance, see incremental.go); tally.validated is false
+// when the candidate died on the support filter before any validation. A
+// nil rule is accompanied by the reason the candidate died; the
 // classification is identical to evaluateSerial's.
-func (e *Engine) evaluateCandidate(ix *dataset.Index, ctxs []*templates.Ctx, c candidate) (*Rule, rejectReason, candTally) {
+func (e *Engine) evaluateCandidate(ix *dataset.Index, ctxs []templates.Ctx, c candidate) (*Rule, rejectReason, candTally) {
 	total := len(ctxs)
 	support := ix.CoSupport(c.attrA, c.attrB)
 	if total == 0 || support == 0 {
@@ -463,6 +480,19 @@ func (e *Engine) evaluateCandidate(ix *dataset.Index, ctxs []*templates.Ctx, c c
 	if stats.SupportFraction(support, total) < e.Config.MinSupportFraction {
 		return nil, supportRejected, candTally{support: support}
 	}
+	var applicable, valid int
+	if c.ma != nil {
+		applicable, valid = countMeanings(c.tpl.Interp, c.ma, c.mb)
+	} else {
+		applicable, valid = sweep(ix, ctxs, c)
+	}
+	r, reason := e.finish(c, total, support, applicable, valid, ix.Entropy(c.attrA), ix.Entropy(c.attrB))
+	return r, reason, candTally{support: support, applicable: applicable, valid: valid, validated: true}
+}
+
+// sweep validates a candidate on every row where both attributes appear
+// and counts the applicable and valid rows.
+func sweep(ix *dataset.Index, ctxs []templates.Ctx, c candidate) (applicable, valid int) {
 	bitsA, bitsB := ix.PresenceBits(c.attrA), ix.PresenceBits(c.attrB)
 	// Delta index snapshots share untouched columns with pre-delta bitset
 	// lengths (implicit zero high words); clamp to the shorter set.
@@ -470,13 +500,12 @@ func (e *Engine) evaluateCandidate(ix *dataset.Index, ctxs []*templates.Ctx, c c
 		bitsA = bitsA[:len(bitsB)]
 	}
 	rowsA, rowsB := ix.RowValues(c.attrA), ix.RowValues(c.attrB)
-	applicable, valid := 0, 0
 	for w, wa := range bitsA {
 		word := wa & bitsB[w]
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			holds, app := c.tpl.Validate(rowsA[i], rowsB[i], ctxs[i])
+			holds, app := c.tpl.Validate(rowsA[i], rowsB[i], &ctxs[i])
 			if !app {
 				continue
 			}
@@ -486,18 +515,18 @@ func (e *Engine) evaluateCandidate(ix *dataset.Index, ctxs []*templates.Ctx, c c
 			}
 		}
 	}
-	r, reason := e.finish(c, total, support, applicable, valid, ix.Entropy(c.attrA), ix.Entropy(c.attrB))
-	return r, reason, candTally{support: support, applicable: applicable, valid: valid, validated: true}
+	return applicable, valid
 }
 
 // evaluateSerial validates one candidate with plain per-row lookups and no
 // index — the reference the indexed path is tested against. The dataset's
 // memoized entropy is shared with the indexed path so both report
 // bit-identical rule statistics.
-func (e *Engine) evaluateSerial(d *dataset.Dataset, ctxs []*templates.Ctx, c candidate) (*Rule, rejectReason) {
+func (e *Engine) evaluateSerial(d *dataset.Dataset, ctxs []templates.Ctx, c candidate) (*Rule, rejectReason) {
 	total := len(ctxs)
 	support, applicable, valid := 0, 0, 0
-	for _, ctx := range ctxs {
+	for i := range ctxs {
+		ctx := &ctxs[i]
 		va := ctx.Row.Instances(c.attrA)
 		vb := ctx.Row.Instances(c.attrB)
 		if len(va) == 0 || len(vb) == 0 {
@@ -571,13 +600,4 @@ func NewRuleSet(rules []*Rule, d *dataset.Dataset) *RuleSet {
 // Marshal serializes the rule set to JSON.
 func (rs *RuleSet) Marshal() ([]byte, error) {
 	return json.MarshalIndent(rs, "", "  ")
-}
-
-// UnmarshalRuleSet parses a serialized rule set.
-func UnmarshalRuleSet(data []byte) (*RuleSet, error) {
-	var rs RuleSet
-	if err := json.Unmarshal(data, &rs); err != nil {
-		return nil, fmt.Errorf("rules: decode rule set: %w", err)
-	}
-	return &rs, nil
 }

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -175,6 +176,37 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestContextsOneAllocationFresh pins the memoized evaluation contexts:
+// a rebuild costs one allocation for all rows, a repeat over the same rows
+// reuses the memo, and an add followed by an equal-sized retire — the row
+// count unchanged, the rows not — rebuilds it.
+func TestContextsOneAllocationFresh(t *testing.T) {
+	d, imgs := buildTraining(t, 12)
+	e := NewEngine()
+	if n := testing.AllocsPerRun(10, func() {
+		e.ctxData = nil
+		e.contexts(d, imgs)
+	}); n != 1 {
+		t.Fatalf("building %d contexts allocated %.0f times, want 1", len(d.Rows), n)
+	}
+	first := e.contexts(d, imgs)
+	if again := e.contexts(d, imgs); &again[0] != &first[0] {
+		t.Fatal("contexts over unchanged rows were rebuilt")
+	}
+	added := &dataset.Row{SystemID: "added", Cells: map[string][]string{}}
+	d.AddRows(added)
+	d.RetireRows(d.Rows[0].SystemID)
+	got := e.contexts(d, imgs)
+	if len(got) != len(first) {
+		t.Fatalf("row count changed: %d vs %d", len(got), len(first))
+	}
+	for i := range got {
+		if got[i].Row != d.Rows[i] || got[i].Image != imgs[d.Rows[i].SystemID] {
+			t.Fatalf("context %d is stale: row %s, dataset row %s", i, got[i].Row.SystemID, d.Rows[i].SystemID)
+		}
+	}
+}
+
 func TestSelfAndAugmentPairsExcluded(t *testing.T) {
 	d, imgs := buildTraining(t, 12)
 	e := NewEngine()
@@ -213,6 +245,16 @@ func TestCandidateCountScalesWithTypes(t *testing.T) {
 	if untypedCount <= typed {
 		t.Fatalf("untyped space (%d) should exceed typed space (%d)", untypedCount, typed)
 	}
+}
+
+// UnmarshalRuleSet parses a serialized rule set: the inverse of
+// RuleSet.Marshal, which only this round trip reads back.
+func UnmarshalRuleSet(data []byte) (*RuleSet, error) {
+	var rs RuleSet
+	if err := json.Unmarshal(data, &rs); err != nil {
+		return nil, fmt.Errorf("rules: decode rule set: %w", err)
+	}
+	return &rs, nil
 }
 
 func TestRuleSetRoundTrip(t *testing.T) {

@@ -13,7 +13,6 @@ package templates
 import (
 	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
@@ -59,8 +58,65 @@ type Template struct {
 	Symmetric bool
 	// AllowAugmented permits augmented attributes to fill placeholders.
 	AllowAugmented bool
+	// Interp, when set, marks a value-only template: its verdict on a
+	// system reads nothing but the first value on each side, read under
+	// Interp, and Validate is built from that interpretation. The rule
+	// engine then interprets each distinct value of a column once instead
+	// of calling Validate per row.
+	Interp Interpretation
 	// Validate is the relation's validation method.
 	Validate Validator
+}
+
+// Interpretation names what a value-only template reads each operand's
+// first value as, and with it the template's relation. A value that does
+// not read under the interpretation gives no evidence (the system is not
+// applicable).
+type Interpretation uint8
+
+const (
+	// Uninterpreted templates compare strings or whole instance lists, or
+	// consult the environment; only their Validate knows the relation.
+	Uninterpreted Interpretation = iota
+	// AsBool reads the boolean lexicon (conftypes.ParseBool); the relation
+	// is A implies B.
+	AsBool
+	// AsNumber reads a float (Number); the relation is A < B.
+	AsNumber
+	// AsSize reads a byte size (conftypes.ParseSize); the relation is
+	// A < B.
+	AsSize
+)
+
+// Number is AsNumber's interpretation: strconv.ParseFloat. NaN and the
+// infinities read; they compare as IEEE floats do.
+func Number(v string) (float64, bool) {
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil
+}
+
+func implies(a, b bool) bool { return !a || b }
+
+func less[T float64 | int64](a, b T) bool { return a < b }
+
+// valueOnly builds a value-only template's Validate: the first value on
+// each side, read by interpret, related by holds. Every caller that checks
+// such a template one system at a time — the check plan, delta inference,
+// the serial oracle, the legacy detector — runs this one function.
+func valueOnly[T any](interpret func(string) (T, bool), holds func(a, b T) bool) Validator {
+	return func(a, b []string, _ *Ctx) (bool, bool) {
+		va, oka := first(a)
+		vb, okb := first(b)
+		if !oka || !okb {
+			return false, false
+		}
+		ma, oka := interpret(va)
+		mb, okb := interpret(vb)
+		if !oka || !okb {
+			return false, false
+		}
+		return holds(ma, mb), true
+	}
 }
 
 // EligibleA reports whether an attribute may fill placeholder A.
@@ -90,40 +146,6 @@ func first(vs []string) (string, bool) {
 		return "", false
 	}
 	return vs[0], true
-}
-
-// normBool maps the boolean lexicon to true/false, ignoring case; ok=false
-// for non-boolean words. It runs for both values of every bool-implies
-// candidate row, so ASCII input is folded in a stack buffer instead of
-// allocating a lowered copy. Other input goes through strings.ToLower
-// first, whose Unicode mappings can land on the lexicon (U+0130 lowers to
-// 'i'), so the answer is strings.ToLower's for every input.
-func normBool(v string) (bool, bool) {
-	for i := 0; i < len(v); i++ {
-		if v[i] >= utf8.RuneSelf {
-			v = strings.ToLower(v)
-			break
-		}
-	}
-	var buf [len("disabled")]byte // the longest lexicon word
-	if len(v) > len(buf) {
-		return false, false
-	}
-	for i := 0; i < len(v); i++ {
-		c := v[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[i] = c
-	}
-	switch string(buf[:len(v)]) {
-	case "on", "true", "yes", "1", "enabled":
-		return true, true
-	case "off", "false", "no", "0", "disabled", "none":
-		return false, true
-	default:
-		return false, false
-	}
 }
 
 // identityTypes are the types over which the same-type equality templates
@@ -181,19 +203,8 @@ func Predefined() []*Template {
 			TypesA:         []conftypes.Type{conftypes.TypeBoolean},
 			TypesB:         []conftypes.Type{conftypes.TypeBoolean},
 			AllowAugmented: true,
-			Validate: func(a, b []string, _ *Ctx) (bool, bool) {
-				va, oka := first(a)
-				vb, okb := first(b)
-				if !oka || !okb {
-					return false, false
-				}
-				ba, oka := normBool(va)
-				bb, okb := normBool(vb)
-				if !oka || !okb {
-					return false, false
-				}
-				return !ba || bb, true
-			},
+			Interp:         AsBool,
+			Validate:       valueOnly(conftypes.ParseBool, implies),
 		},
 		{
 			ID:          "subnet",
@@ -312,19 +323,8 @@ func Predefined() []*Template {
 			Description: "The number in one entry is less than that of the other entry",
 			TypesA:      []conftypes.Type{conftypes.TypeNumber, conftypes.TypePortNumber},
 			TypesB:      []conftypes.Type{conftypes.TypeNumber, conftypes.TypePortNumber},
-			Validate: func(a, b []string, _ *Ctx) (bool, bool) {
-				va, oka := first(a)
-				vb, okb := first(b)
-				if !oka || !okb {
-					return false, false
-				}
-				fa, erra := strconv.ParseFloat(va, 64)
-				fb, errb := strconv.ParseFloat(vb, 64)
-				if erra != nil || errb != nil {
-					return false, false
-				}
-				return fa < fb, true
-			},
+			Interp:      AsNumber,
+			Validate:    valueOnly(Number, less[float64]),
 		},
 		{
 			ID:             "size-lt",
@@ -333,19 +333,8 @@ func Predefined() []*Template {
 			TypesA:         []conftypes.Type{conftypes.TypeSize},
 			TypesB:         []conftypes.Type{conftypes.TypeSize},
 			AllowAugmented: true,
-			Validate: func(a, b []string, _ *Ctx) (bool, bool) {
-				va, oka := first(a)
-				vb, okb := first(b)
-				if !oka || !okb {
-					return false, false
-				}
-				na, oka := conftypes.ParseSize(va)
-				nb, okb := conftypes.ParseSize(vb)
-				if !oka || !okb {
-					return false, false
-				}
-				return na < nb, true
-			},
+			Interp:         AsSize,
+			Validate:       valueOnly(conftypes.ParseSize, less[int64]),
 		},
 	}
 }

@@ -281,9 +281,10 @@ func TestRegisterCustomOp(t *testing.T) {
 	}
 }
 
-// normBoolToLower is normBool as first written, lower-casing through
-// strings.ToLower: the reference the allocation-free version must match
-// on every input.
+// normBoolToLower is the boolean lexicon as first written, lower-casing
+// through strings.ToLower: the reference the allocation-free
+// conftypes.ParseBool, which bool-implies reads values with, must match on
+// every input.
 func normBoolToLower(v string) (bool, bool) {
 	switch strings.ToLower(v) {
 	case "on", "true", "yes", "1", "enabled":
@@ -316,46 +317,46 @@ func normBoolSeeds() []string {
 
 func TestNormBool(t *testing.T) {
 	for _, v := range []string{"On", "TRUE", "yes", "1", "enabled"} {
-		if b, ok := normBool(v); !ok || !b {
-			t.Errorf("normBool(%q) = %v %v", v, b, ok)
+		if b, ok := conftypes.ParseBool(v); !ok || !b {
+			t.Errorf("ParseBool(%q) = %v %v", v, b, ok)
 		}
 	}
 	for _, v := range []string{"Off", "false", "NO", "0", "none"} {
-		if b, ok := normBool(v); !ok || b {
-			t.Errorf("normBool(%q) = %v %v", v, b, ok)
+		if b, ok := conftypes.ParseBool(v); !ok || b {
+			t.Errorf("ParseBool(%q) = %v %v", v, b, ok)
 		}
 	}
-	if _, ok := normBool("maybe"); ok {
-		t.Error("normBool should reject unknown words")
+	if _, ok := conftypes.ParseBool("maybe"); ok {
+		t.Error("ParseBool should reject unknown words")
 	}
 	for _, v := range normBoolSeeds() {
-		b, ok := normBool(v)
+		b, ok := conftypes.ParseBool(v)
 		wb, wok := normBoolToLower(v)
 		if b != wb || ok != wok {
-			t.Errorf("normBool(%q) = %v %v, strings.ToLower reference says %v %v", v, b, ok, wb, wok)
+			t.Errorf("ParseBool(%q) = %v %v, strings.ToLower reference says %v %v", v, b, ok, wb, wok)
 		}
 	}
-	if b, ok := normBool("D\u0130SABLED"); !ok || b {
-		t.Errorf("normBool must follow strings.ToLower's U+0130 mapping, got %v %v", b, ok)
+	if b, ok := conftypes.ParseBool("D\u0130SABLED"); !ok || b {
+		t.Errorf("ParseBool must follow strings.ToLower's U+0130 mapping, got %v %v", b, ok)
 	}
 	for _, v := range []string{"Enabled", "DISABLED", "off", "ServerTokens-Full"} {
-		if n := testing.AllocsPerRun(100, func() { normBool(v) }); n != 0 {
-			t.Errorf("normBool(%q) allocated %.0f times", v, n)
+		if n := testing.AllocsPerRun(100, func() { conftypes.ParseBool(v) }); n != 0 {
+			t.Errorf("ParseBool(%q) allocated %.0f times", v, n)
 		}
 	}
 }
 
-// FuzzNormBool holds normBool to the strings.ToLower reference on
-// arbitrary input.
+// FuzzNormBool holds conftypes.ParseBool to the strings.ToLower reference
+// on arbitrary input.
 func FuzzNormBool(f *testing.F) {
 	for _, v := range normBoolSeeds() {
 		f.Add(v)
 	}
 	f.Fuzz(func(t *testing.T, v string) {
-		b, ok := normBool(v)
+		b, ok := conftypes.ParseBool(v)
 		wb, wok := normBoolToLower(v)
 		if b != wb || ok != wok {
-			t.Fatalf("normBool(%q) = %v %v, strings.ToLower reference says %v %v", v, b, ok, wb, wok)
+			t.Fatalf("ParseBool(%q) = %v %v, strings.ToLower reference says %v %v", v, b, ok, wb, wok)
 		}
 	})
 }
