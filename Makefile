@@ -104,11 +104,12 @@ eval-matrix-smoke:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Rule-inference perf trajectory: run the RuleInference benches (serial
-# oracle, parallel, indexed with the corpus-scaling axis) and record the
-# machine-readable results so speedups/regressions are tracked across PRs.
+# Rule-inference perf trajectory: run the RuleInference benches (parallel,
+# indexed with the corpus-scaling axis, and the serial oracle, which lives
+# in internal/rules's tests) and record the machine-readable results so
+# speedups/regressions are tracked across PRs.
 bench-rules:
-	$(GO) test -run '^$$' -bench=RuleInference -benchmem -json . > BENCH_rules.json.tmp && mv BENCH_rules.json.tmp BENCH_rules.json
+	$(GO) test -run '^$$' -bench=RuleInference -benchmem -json . ./internal/rules > BENCH_rules.json.tmp && mv BENCH_rules.json.tmp BENCH_rules.json
 	./scripts/bench_summary.sh BENCH_rules.json
 	@grep -o '"Output":"[^"]*"' BENCH_rules.json | sed 's/^"Output":"//;s/"$$//' | \
 		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
@@ -184,6 +185,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench='BatchScan|RuleInference|DetectorCheck|PlanCheck|PlanColdStart|IncrementalInfer|FleetScan/images=1000' \
 		-benchtime 1x -benchmem . >/dev/null
 	$(GO) test -run '^$$' -bench='^Benchmark(AssembleTraining|Learn)$$' -benchtime 1x -benchmem . >/dev/null
+	$(GO) test -run '^$$' -bench=RuleInference -benchtime 1x -benchmem ./internal/rules >/dev/null
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
 	$(GO) test -run '^$$' -bench=LoadJSON -benchtime 1x -benchmem ./internal/sysimage >/dev/null
 	$(GO) test -run '^$$' -bench=RecorderUpdates -benchtime 1x -benchmem ./internal/telemetry >/dev/null

@@ -34,15 +34,17 @@ const (
 	// erode the cold-start win.
 	maxPlanDecodeAllocs = 600
 	// Learn → CompilePlan → MarshalPlan over a 30-image mysql training set
-	// costs 31.5–32.2 allocations per training image with value
-	// dictionaries in the columnar index, meaning columns for the
-	// value-only templates and type matching per distinct value (60.9
-	// before them, 114 when every entry was allocated, 308 when each row
-	// was recorded as an op log and replayed); the ceiling leaves 10%
-	// headroom. A -race build's sync.Pool drops pooled parse and
-	// inference scratches, which measured 39.0.
-	maxLearnAllocsPerImage     = 35
-	maxLearnAllocsPerImageRace = 42
+	// costs 23.8 allocations per training image with the rows stored as
+	// dataset columns (no cell map per row), joined paths looked up
+	// without a string, rules sorted without building keys and span
+	// attributes kept off the heap with telemetry off (31.5–32.2 before
+	// them, 60.9 before value dictionaries, 114 when every entry was
+	// allocated, 308 when each row was recorded as an op log and
+	// replayed); the ceiling leaves 10% headroom. A -race build's
+	// sync.Pool drops pooled parse and inference scratches, which
+	// measured 33.1–33.4.
+	maxLearnAllocsPerImage     = 26
+	maxLearnAllocsPerImageRace = 37
 	// The batch engine's own allocations per image on top of Plan.Check:
 	// a warmed one-shard run over 200 resident images with a recorder
 	// measured 0.11 (the run's goroutines, spans and deques amortized;

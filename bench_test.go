@@ -268,16 +268,6 @@ func BenchmarkRuleInferenceParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkRuleInferenceSerial(b *testing.B) {
-	images, ds := benchCorpus(b, "apache", 60)
-	byID := corpus.ByID(images)
-	eng := rules.NewEngine()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.InferSerial(ds, byID)
-	}
-}
-
 // BenchmarkRuleInferenceIndexed measures the columnar-index inference path
 // (bitset support pruning, co-occurrence sweeps, memoized entropies) on a
 // corpus-scaling axis, so bench runs track how inference scales with fleet

@@ -237,11 +237,9 @@ func (a *Assembler) AssembleTraining(images []*sysimage.Image) (*dataset.Dataset
 		telemetry.A("workers", strconv.Itoa(workers)))
 	defer root.End()
 	d := dataset.New()
-	rows, err := a.assembleRows(d, images, workers, root)
-	if err != nil {
+	if err := a.assembleRows(d, d, images, workers, root); err != nil {
 		return nil, err
 	}
-	d.Rows = rows
 	a.Telemetry.Add(telemetry.CounterAttrsDeclared, int64(len(d.Attributes())))
 	return d, nil
 }
@@ -304,21 +302,21 @@ func (a *Assembler) entryTypes(d *dataset.Dataset, parsed []parsedImage, workers
 	return t
 }
 
-// assembleRows assembles images into detached rows against d, the shared
-// core of AssembleTraining and AssembleDeltaRows. Entry attributes d
-// already declares keep their type; every other entry attribute gets
-// entry-level inference from this batch's samples and is declared on d in
-// first-seen order. Rows are then built concurrently, one row sink per
-// worker, and each row's augmented declarations are applied to d in image
-// order.
-func (a *Assembler) assembleRows(d *dataset.Dataset, images []*sysimage.Image, workers int, root *telemetry.Span) ([]*dataset.Row, error) {
+// assembleRows assembles images into rows of dst against d, the shared
+// core of AssembleTraining (dst is d) and AssembleDeltaRows (dst holds
+// detached rows). Entry attributes d already declares keep their type;
+// every other entry attribute gets entry-level inference from this
+// batch's samples and is declared on d in first-seen order. Rows are then
+// built concurrently, one row sink per worker, and merged into dst's
+// columns in image order, with their augmented declarations applied to d.
+func (a *Assembler) assembleRows(d, dst *dataset.Dataset, images []*sysimage.Image, workers int, root *telemetry.Span) error {
 	parseSpan := root.StartChild("assemble.parse")
 	stopParse := a.Telemetry.StartStage(telemetry.StageAssembleParse)
 	parsed, err := a.parseImages(images, workers, parseSpan)
 	stopParse()
 	parseSpan.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	a.Telemetry.Add(telemetry.CounterImagesParsed, int64(len(images)))
 	a.Telemetry.Add(telemetry.CounterFilesParsed, countFiles(images))
@@ -330,12 +328,11 @@ func (a *Assembler) assembleRows(d *dataset.Dataset, images []*sysimage.Image, w
 	inferSpan.SetAttr("attributes", strconv.Itoa(len(t.fresh)))
 	inferSpan.End()
 
-	// Pass 2: stream every image into its worker's row sink, then apply
-	// the rows' augmented declarations in image order.
+	// Pass 2: stream every image into its worker's row sink, then merge
+	// the finished rows in image order.
 	rowsSpan := root.StartChild("assemble.rows")
 	stopRows := a.Telemetry.StartStage(telemetry.StageAssembleRows)
-	rows := make([]*dataset.Row, len(parsed))
-	decls := make([][]augDecl, len(parsed))
+	runs := make([]rowRun, len(parsed))
 	sinks := make([]*rowSink, workers)
 	forEachIndexed(len(parsed), workers, func(i, w int) {
 		sp := rowsSpan.StartChild("assemble.row",
@@ -346,15 +343,13 @@ func (a *Assembler) assembleRows(d *dataset.Dataset, images []*sysimage.Image, w
 			sinks[w] = s
 		}
 		s.buf = a.stream(s.buf, parsed[i], s)
-		rows[i], decls[i] = s.flush(parsed[i].img.ID)
+		runs[i] = s.flush(parsed[i].img.ID)
 		sp.End()
 	})
-	for _, dc := range decls {
-		applyDecls(d, dc)
-	}
+	merge(d, dst, runs)
 	stopRows()
 	rowsSpan.End()
-	return rows, nil
+	return nil
 }
 
 // AssembleTarget assembles a single target image using the attribute types
@@ -381,8 +376,6 @@ func (a *Assembler) AssembleTarget(img *sysimage.Image, training *dataset.Datase
 			d.DeclareAttr(n.name, n.typ, false)
 		}
 	}
-	row, decls := s.flush(img.ID)
-	applyDecls(d, decls)
-	d.Rows = append(d.Rows, row)
+	merge(d, d, []rowRun{s.flush(img.ID)})
 	return d, nil
 }

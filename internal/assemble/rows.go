@@ -1,23 +1,26 @@
 package assemble
 
 import (
+	"slices"
+
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
 )
 
 // rowSink is the TargetSink behind every dataset the assembler builds:
-// it collects the stream of one image at a time into a detached
-// dataset.Row. One rowSink serves one worker of one assembly call, so its
-// intern table and arenas are never shared, and the arenas live exactly
-// as long as the rows carved from them.
+// it collects the stream of one image at a time into a rowRun, the row's
+// cells by interned name slot. One rowSink serves one worker of one
+// assembly call, so its intern table and arenas are never shared; the
+// dataset columns keep the values carved from its arenas.
 //
 // Entry attributes are declared on the dataset before any row is built,
 // so the sink ignores non-augmented Declares. Every augmented Declare
 // stands for a dataset.DeclareAttr followed by a SetType to the same type,
 // so of a row's repeated declarations of one name only the first position
-// (which fixes column order) and the last type (which the final SetType
-// leaves) are observable; a row keeps exactly those, and applyDecls
-// replays them in image order.
+// (which fixes column order) and the last type are observable. The stream
+// follows each augmented Declare with an Add of the same name, so the
+// row's first declaration of a column comes with its first touch, and
+// its cell keeps the last type; merge replays both in image order.
 type rowSink struct {
 	// typeOf resolves an entry attribute's type the first time the sink
 	// sees the name; the answer is memoized for the sink's lifetime.
@@ -37,13 +40,17 @@ type rowSink struct {
 	seq     int32
 	touched []int32    // slots with values in this row, first-touch order
 	adds    []valueAdd // this row's values in stream order
-	decls   []augDecl  // this row's augmented declarations, first-declare order
 
-	// vals, rows and declArena are the arenas rows and their declarations
-	// are carved from.
-	vals      []string
-	rows      []dataset.Row
-	declArena []augDecl
+	// vals and cells are the arenas finished rows are carved from.
+	vals  []string
+	cells []cell
+	// types holds the declared types; typeID t is types[t-1].
+	types []conftypes.Type
+
+	// cols and declCols map name slots to the columns of the dataset
+	// that takes the rows' cells and of the one that takes their
+	// declarations: the column's position plus one, 0 until resolved.
+	cols, declCols []int32
 
 	buf []byte // name scratch for the walk
 }
@@ -57,7 +64,7 @@ type nameSlot struct {
 	addSeq  int32 // row stamp of the values below
 	n, off  int32 // values in this row; placement cursor during flush
 	declSeq int32 // row stamp of decl
-	decl    int32 // index of the name's augDecl in this row
+	decl    int32 // typeID of the name's last augmented declaration
 }
 
 // valueAdd is one Add of the current row.
@@ -66,11 +73,18 @@ type valueAdd struct {
 	value string
 }
 
-// augDecl is one augmented attribute's declarations within a row, with
-// the type of the last.
-type augDecl struct {
-	name string
-	typ  conftypes.Type
+// cell is one attribute of a finished row: its slot, its number of
+// values, and the typeID of its last augmented declaration in the row (0
+// if none).
+type cell struct{ slot, n, decl int32 }
+
+// rowRun is one finished row of sink s: its cells in first-touch order
+// and their values, cell after cell.
+type rowRun struct {
+	s     *rowSink
+	id    string
+	cells []cell
+	vals  []string
 }
 
 func newRowSink(typeOf func(name, value string) conftypes.Type) *rowSink {
@@ -128,12 +142,11 @@ func (s *rowSink) Declare(name string, t conftypes.Type, augmented bool) {
 		return
 	}
 	n := &s.names[s.resolve(name)]
-	if n.declSeq != s.seq {
-		n.declSeq, n.decl = s.seq, int32(len(s.decls))
-		s.decls = append(s.decls, augDecl{name: n.name, typ: t})
-		return
+	n.declSeq, n.decl = s.seq, int32(slices.Index(s.types, t))+1
+	if n.decl == 0 {
+		s.types = append(s.types, t)
+		n.decl = int32(len(s.types))
 	}
-	s.decls[n.decl].typ = t
 }
 
 // Add implements TargetSink.
@@ -148,41 +161,60 @@ func (s *rowSink) Add(name, value string) {
 	s.adds = append(s.adds, valueAdd{slot: i, value: value})
 }
 
-// flush turns the values and declarations streamed since the last flush
-// into a detached row for systemID, and starts the next row.
-func (s *rowSink) flush(systemID string) (*dataset.Row, []augDecl) {
-	vals := carve(&s.vals, len(s.adds))
+// flush finishes the values and declarations streamed since the last
+// flush as the run of systemID's row, and starts the next row.
+func (s *rowSink) flush(systemID string) rowRun {
+	run := rowRun{s: s, id: systemID, cells: carve(&s.cells, len(s.touched)), vals: carve(&s.vals, len(s.adds))}
 	var off int32
-	for _, i := range s.touched {
+	for k, i := range s.touched {
 		n := &s.names[i]
+		run.cells[k] = cell{slot: i, n: n.n}
+		if n.declSeq == s.seq {
+			run.cells[k].decl = n.decl
+		}
 		n.off = off
 		off += n.n
 	}
 	for _, ad := range s.adds {
 		n := &s.names[ad.slot]
-		vals[n.off] = ad.value
+		run.vals[n.off] = ad.value
 		n.off++
 	}
-	cells := make(map[string][]string, len(s.touched))
-	for _, i := range s.touched {
-		n := &s.names[i]
-		cells[n.name] = vals[n.off-n.n : n.off : n.off]
-	}
-	row := &carve(&s.rows, 1)[0]
-	*row = dataset.Row{SystemID: systemID, Cells: cells}
-	decls := carve(&s.declArena, len(s.decls))
-	copy(decls, s.decls)
-	s.touched, s.adds, s.decls = s.touched[:0], s.adds[:0], s.decls[:0]
+	s.touched, s.adds = s.touched[:0], s.adds[:0]
 	s.seq++
-	return row, decls
+	return run
 }
 
-// applyDecls applies one row's augmented declarations to d: a new column
-// is declared augmented, and every column takes the row's last type.
-func applyDecls(d *dataset.Dataset, decls []augDecl) {
-	for _, dc := range decls {
-		d.DeclareAttr(dc.name, dc.typ, true)
-		d.SetType(dc.name, dc.typ)
+// merge appends the runs' rows to dst, which is d or a dataset of
+// detached rows for d, in order. A cell's augmented declaration goes to d
+// first, as DeclareAttr followed by SetType would. Each sink resolves each
+// of its name slots to a column once, so merge hashes no name per row.
+func merge(d, dst *dataset.Dataset, runs []rowRun) {
+	dst.Grow(len(runs))
+	for _, run := range runs {
+		s := run.s
+		if len(s.cols) < len(s.names) {
+			s.cols, s.declCols = make([]int32, len(s.names)), make([]int32, len(s.names))
+		}
+		row := dst.NewRow(run.id)
+		vals := run.vals
+		for _, c := range run.cells {
+			name := s.names[c.slot].name
+			if c.decl != 0 {
+				t := s.types[c.decl-1]
+				if s.declCols[c.slot] == 0 {
+					s.declCols[c.slot] = int32(d.DeclareAttr(name, t, true)) + 1
+				}
+				if d.Attributes()[s.declCols[c.slot]-1].Type != t {
+					d.SetType(name, t)
+				}
+			}
+			if s.cols[c.slot] == 0 {
+				s.cols[c.slot] = int32(dst.DeclareAttr(name, conftypes.TypeString, false)) + 1
+			}
+			dst.Set(row, int(s.cols[c.slot]-1), vals[:c.n])
+			vals = vals[c.n:]
+		}
 	}
 }
 

@@ -75,24 +75,24 @@ func (b *Detector) Check(img *sysimage.Image) ([]*Finding, error) {
 	samples := len(b.Training.Rows)
 
 	var findings []*Finding
-	for attr, values := range row.Cells {
+	row.Each(func(attr string, values []string) {
 		a, ok := b.Training.Attr(attr)
 		if !ok {
 			// An entry absent from the peer database has no value
 			// distribution to compare against; the statistical model has
 			// nothing to say about it (misspelled entries therefore
 			// escape the baselines entirely).
-			continue
+			return
 		}
 		if a.Augmented && !b.IncludeAugmented {
-			continue
+			return
 		}
 		if b.Training.Present(attr) == 0 {
-			continue
+			return
 		}
 		seen := b.Training.Histogram(attr)
 		if b.MaxCardinality > 0 && len(seen) > b.MaxCardinality {
-			continue // peers disagree: a new value is not anomalous
+			return // peers disagree: a new value is not anomalous
 		}
 		for _, v := range values {
 			if seen[v] > 0 {
@@ -106,7 +106,7 @@ func (b *Detector) Check(img *sysimage.Image) ([]*Finding, error) {
 				Score:   icf,
 			})
 		}
-	}
+	})
 	sort.SliceStable(findings, func(i, j int) bool {
 		if findings[i].Score != findings[j].Score {
 			return findings[i].Score > findings[j].Score

@@ -106,7 +106,7 @@ func corpusSamples(t *testing.T, app string, n int) map[string][]conftypes.Sampl
 	out := make(map[string][]conftypes.Sample)
 	for _, a := range d.Attributes() {
 		for _, row := range d.Rows {
-			for _, v := range row.Cells[a.Name] {
+			for _, v := range row.Instances(a.Name) {
 				out[a.Name] = append(out[a.Name], conftypes.Sample{Value: v, Image: byID[row.SystemID]})
 			}
 		}

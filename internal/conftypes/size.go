@@ -2,13 +2,15 @@ package conftypes
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // ParseSize converts a size literal ("16M", "1g", "8K", "512", "2GB") to a
 // byte count. Plain numbers are accepted as raw bytes, matching how MySQL
-// and PHP interpret suffix-less size options.
+// and PHP interpret suffix-less size options. A size whose byte count
+// overflows int64 does not parse.
 func ParseSize(v string) (int64, bool) {
 	s := strings.TrimSpace(v)
 	if s == "" {
@@ -29,7 +31,7 @@ func ParseSize(v string) (int64, bool) {
 		}
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, false
 	}
 	return n * mult, true

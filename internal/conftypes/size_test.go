@@ -1,6 +1,9 @@
 package conftypes
 
 import (
+	"math"
+	"math/big"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -81,5 +84,38 @@ func TestSizeSuffixProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseSizeOverflow checks sizes on both sides of the int64 limit
+// for every unit against a math/big oracle: a size parses iff its byte
+// count fits in int64, and then to exactly that count. An overflowing
+// size must not parse, or it would wrap to a negative count that sorts
+// below every real size.
+func TestParseSizeOverflow(t *testing.T) {
+	units := []struct {
+		suffix string
+		mult   int64
+	}{{"", 1}, {"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30}, {"T", 1 << 40}}
+	limit := big.NewInt(math.MaxInt64)
+	for _, u := range units {
+		edge := math.MaxInt64 / u.mult
+		for _, n := range []int64{0, 1, edge - 1, edge, edge + 1, math.MaxInt64 / 2, math.MaxInt64} {
+			if n < 0 {
+				continue
+			}
+			in := strconv.FormatInt(n, 10) + u.suffix
+			want := new(big.Int).Mul(big.NewInt(n), big.NewInt(u.mult))
+			wantOK := want.Cmp(limit) <= 0
+			got, ok := ParseSize(in)
+			if ok != wantOK || ok && got != want.Int64() {
+				t.Errorf("ParseSize(%q) = %d %v, want %v %v", in, got, ok, want, wantOK)
+			}
+		}
+	}
+	for in, wantOK := range map[string]bool{"8388607T": true, "8388608T": false, "9223372036854775807K": false} {
+		if _, ok := ParseSize(in); ok != wantOK {
+			t.Errorf("ParseSize(%q) ok = %v, want %v", in, ok, wantOK)
+		}
 	}
 }

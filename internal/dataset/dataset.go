@@ -12,6 +12,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -29,31 +30,91 @@ type Attribute struct {
 	Augmented bool
 }
 
-// Row holds the attribute instances observed on one system.
+// Row is a view of one system's row: its SystemID and its position in
+// the column storage it was made in; the values live in the columns. A
+// row RetireRows removes keeps viewing the old storage, so it still
+// answers Instances (incremental rule inference subtracts its values).
+// The zero Row is an empty row.
 type Row struct {
 	SystemID string
-	Cells    map[string][]string
+	pos      int
+	t        *table
 }
 
 // Instances returns the values of an attribute in this row (nil if
-// absent).
-func (r *Row) Instances(attr string) []string { return r.Cells[attr] }
+// absent). The slice is shared storage — read only.
+func (r *Row) Instances(attr string) []string {
+	if r.t != nil {
+		if i, ok := r.t.index[attr]; ok && i < len(r.t.cols) {
+			return r.t.cols[i].at(r.pos)
+		}
+	}
+	return nil
+}
 
 // First returns the first instance of an attribute and whether the
 // attribute is present.
 func (r *Row) First(attr string) (string, bool) {
-	vs := r.Cells[attr]
+	vs := r.Instances(attr)
 	if len(vs) == 0 {
 		return "", false
 	}
 	return vs[0], true
 }
 
-// Dataset is the assembled table.
+// Each calls fn for every attribute present in the row, in column
+// declaration order, with the row's instances (shared storage — read
+// only).
+func (r *Row) Each(fn func(attr string, values []string)) {
+	for i := 0; r.t != nil && i < len(r.t.cols); i++ {
+		if vs := r.t.cols[i].at(r.pos); len(vs) > 0 {
+			fn(r.t.cols[i].name, vs)
+		}
+	}
+}
+
+// table is the column storage rows view: one column per declared
+// attribute, in declaration order.
+type table struct {
+	// index maps attribute names to columns. Every storage generation of
+	// a dataset shares it; a generation reads a column it lacks as absent.
+	index map[string]int
+	cols  []column
+}
+
+// column holds one attribute's instances, one slice per row (nil where
+// the attribute is absent). It ends at the last row that holds the
+// attribute; rows past its end are absent.
+type column struct {
+	name string
+	vals [][]string
+}
+
+func (c *column) at(r int) []string {
+	if r < len(c.vals) {
+		return c.vals[r]
+	}
+	return nil
+}
+
+// cell returns row r's instance slice for writing, extending the column
+// to r. A column that must grow takes at least capacity rows.
+func (c *column) cell(r, capacity int) *[]string {
+	if r >= len(c.vals) {
+		c.vals = slices.Grow(c.vals, max(capacity, r+1)-len(c.vals))[:r+1]
+	}
+	return &c.vals[r]
+}
+
+// Dataset is the assembled table, stored as columns.
 type Dataset struct {
 	attrs []Attribute
-	index map[string]int
+	// tab holds the columns, parallel to attrs; Rows[i] views it at i.
+	tab *table
+	// Rows are the dataset's rows in order. Read only: add rows with
+	// NewRow or AddRows and remove them with RetireRows.
 	Rows  []*Row
+	spare []Row // where Grow keeps the rows it made room for
 
 	// idx caches the columnar snapshot (see index.go). Mutators store nil;
 	// Index rebuilds lazily. Atomic so concurrent readers (scan and rule
@@ -63,24 +124,25 @@ type Dataset struct {
 
 // New returns an empty dataset.
 func New() *Dataset {
-	return &Dataset{index: make(map[string]int)}
+	return &Dataset{tab: &table{index: make(map[string]int)}}
 }
 
 // DeclareAttr registers a column if not already present and returns its
-// definition. Re-declaring with a different type keeps the first type
-// (training data wins over later observations).
-func (d *Dataset) DeclareAttr(name string, t conftypes.Type, augmented bool) Attribute {
-	if i, ok := d.index[name]; ok {
-		return d.attrs[i]
+// position in Attributes. Re-declaring with a different type keeps the
+// first type (training data wins over later observations).
+func (d *Dataset) DeclareAttr(name string, t conftypes.Type, augmented bool) int {
+	if i, ok := d.tab.index[name]; ok {
+		return i
 	}
-	a := Attribute{Name: name, Type: t, Augmented: augmented}
-	d.index[name] = len(d.attrs)
-	d.attrs = append(d.attrs, a)
+	i := len(d.attrs)
+	d.tab.index[name] = i
+	d.attrs = append(d.attrs, Attribute{Name: name, Type: t, Augmented: augmented})
+	d.tab.cols = append(d.tab.cols, column{name: name})
 	// Declaring a column does not invalidate a cached index: a freshly
 	// declared attribute has no cells yet, and Index.col falls back to an
 	// all-absent column for names the snapshot does not know. Keeping the
 	// snapshot alive is what lets AddRows/RetireRows maintain it by delta.
-	return a
+	return i
 }
 
 // Index returns the columnar snapshot of the dataset, rebuilding it if a
@@ -90,7 +152,7 @@ func (d *Dataset) Index() *Index {
 	if ix := d.idx.Load(); ix != nil {
 		return ix
 	}
-	ix := buildIndex(d)
+	ix := buildIndex(d, nil, nil)
 	d.idx.Store(ix)
 	return ix
 }
@@ -98,14 +160,14 @@ func (d *Dataset) Index() *Index {
 // SetType overrides the declared type of an attribute (used when entry-level
 // inference, which sees all samples, refines the initial guess).
 func (d *Dataset) SetType(name string, t conftypes.Type) {
-	if i, ok := d.index[name]; ok {
+	if i, ok := d.tab.index[name]; ok {
 		d.attrs[i].Type = t
 	}
 }
 
 // Attr returns the attribute definition and whether it exists.
 func (d *Dataset) Attr(name string) (Attribute, bool) {
-	i, ok := d.index[name]
+	i, ok := d.tab.index[name]
 	if !ok {
 		return Attribute{}, false
 	}
@@ -115,20 +177,49 @@ func (d *Dataset) Attr(name string) (Attribute, bool) {
 // Attributes returns all columns in declaration order.
 func (d *Dataset) Attributes() []Attribute { return d.attrs }
 
+// Grow makes room for n more rows, so appending them allocates neither
+// row views nor a larger column.
+func (d *Dataset) Grow(n int) {
+	d.Rows = slices.Grow(d.Rows, n)
+	if len(d.spare) < n {
+		d.spare = make([]Row, n)
+	}
+}
+
 // NewRow appends and returns an empty row for a system.
 func (d *Dataset) NewRow(systemID string) *Row {
-	r := &Row{SystemID: systemID, Cells: make(map[string][]string)}
+	if len(d.spare) == 0 {
+		d.Grow(1)
+	}
+	r := &d.spare[0]
+	d.spare = d.spare[1:]
+	*r = Row{SystemID: systemID, pos: len(d.Rows), t: d.tab}
 	d.Rows = append(d.Rows, r)
-	d.idx.Store(nil)
+	d.invalidate()
 	return r
 }
 
-// Add records an instance of an attribute in a row, declaring the column on
-// first use with type String.
+// Add records an instance of an attribute in a row of d, declaring the
+// column on first use with type String.
 func (d *Dataset) Add(r *Row, attr, value string) {
-	d.DeclareAttr(attr, conftypes.TypeString, false)
-	r.Cells[attr] = append(r.Cells[attr], value)
-	d.idx.Store(nil)
+	vs := d.tab.cols[d.DeclareAttr(attr, conftypes.TypeString, false)].cell(r.pos, cap(d.Rows))
+	*vs = append(*vs, value)
+	d.invalidate()
+}
+
+// Set makes values, which must not be empty, row r's instances of the
+// column at position col. The column keeps the slice itself rather than
+// a copy.
+func (d *Dataset) Set(r *Row, col int, values []string) {
+	*d.tab.cols[col].cell(r.pos, cap(d.Rows)) = values[:len(values):len(values)]
+	d.invalidate()
+}
+
+// invalidate drops the cached snapshot; row building calls it per cell.
+func (d *Dataset) invalidate() {
+	if d.idx.Load() != nil {
+		d.idx.Store(nil)
+	}
 }
 
 // Column returns every instance value of the attribute across all rows
@@ -175,38 +266,25 @@ func (d *Dataset) Histogram(attr string) map[string]int {
 // them (Table 2 "Original"): every occurrence of an entry in every row is a
 // distinct attribute, so the count is the maximum total instance count over
 // rows summed per attribute.
-func (d *Dataset) OriginalAttrCount() int {
-	total := 0
-	for _, a := range d.attrs {
-		if a.Augmented {
-			continue
-		}
-		max := 0
-		for _, r := range d.Rows {
-			if n := len(r.Cells[a.Name]); n > max {
-				max = n
-			}
-		}
-		total += max
-	}
-	return total
-}
+func (d *Dataset) OriginalAttrCount() int { return d.occurrences(false) }
 
 // AugmentedAttrCount counts columns after environment integration
 // (Table 2 "Augmented"): original occurrences plus augmented columns.
-func (d *Dataset) AugmentedAttrCount() int {
-	total := d.OriginalAttrCount()
-	for _, a := range d.attrs {
-		if !a.Augmented {
+func (d *Dataset) AugmentedAttrCount() int { return d.occurrences(false) + d.occurrences(true) }
+
+// occurrences sums, over the original or the augmented columns, the most
+// instances any one row holds.
+func (d *Dataset) occurrences(augmented bool) int {
+	total := 0
+	for i, a := range d.attrs {
+		if a.Augmented != augmented {
 			continue
 		}
-		max := 0
-		for _, r := range d.Rows {
-			if n := len(r.Cells[a.Name]); n > max {
-				max = n
-			}
+		most := 0
+		for _, vs := range d.tab.cols[i].vals {
+			most = max(most, len(vs))
 		}
-		total += max
+		total += most
 	}
 	return total
 }
@@ -237,31 +315,28 @@ func (disc *Discretized) BinomialCount() int { return len(disc.Items) }
 // means all) into boolean transactions. Every distinct (attribute, value)
 // pair becomes an item; every row becomes the set of items it exhibits.
 func (d *Dataset) Discretize(attrs []string) *Discretized {
-	if attrs == nil {
-		attrs = make([]string, len(d.attrs))
-		for i, a := range d.attrs {
-			attrs[i] = a.Name
-		}
-	}
 	keep := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		keep[a] = true
 	}
+	// Items are numbered row by row, attributes in name order, instances
+	// in order.
+	var cols []*column
+	for i := range d.tab.cols {
+		if attrs == nil || keep[d.tab.cols[i].name] {
+			cols = append(cols, &d.tab.cols[i])
+		}
+	}
+	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
 	ids := make(map[Item]int)
 	disc := &Discretized{}
-	for _, r := range d.Rows {
+	seen := make(map[int]bool)
+	for r := range d.Rows {
 		var txn []int
-		seen := make(map[int]bool)
-		names := make([]string, 0, len(r.Cells))
-		for name := range r.Cells {
-			if keep[name] {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			for _, v := range r.Cells[name] {
-				it := Item{Attr: name, Value: v}
+		clear(seen)
+		for _, c := range cols {
+			for _, v := range c.at(r) {
+				it := Item{Attr: c.name, Value: v}
 				id, ok := ids[it]
 				if !ok {
 					id = len(disc.Items)
@@ -290,11 +365,11 @@ func (d *Dataset) CSV() string {
 		b.WriteString(csvEscape(a.Name))
 	}
 	b.WriteString("\n")
-	for _, r := range d.Rows {
-		b.WriteString(csvEscape(r.SystemID))
-		for _, a := range d.attrs {
+	for r, row := range d.Rows {
+		b.WriteString(csvEscape(row.SystemID))
+		for i := range d.tab.cols {
 			b.WriteString(",")
-			b.WriteString(csvEscape(strings.Join(r.Cells[a.Name], ";")))
+			b.WriteString(csvEscape(strings.Join(d.tab.cols[i].at(r), ";")))
 		}
 		b.WriteString("\n")
 	}

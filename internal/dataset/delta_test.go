@@ -18,7 +18,7 @@ func freshOracle(d *Dataset) *Dataset {
 	for _, a := range d.Attributes() {
 		o.DeclareAttr(a.Name, a.Type, a.Augmented)
 	}
-	o.Rows = append(o.Rows, d.Rows...)
+	o.AddRows(d.Rows...)
 	return o
 }
 
@@ -99,14 +99,28 @@ func requireIndexEqual(t *testing.T, step string, got, want *Index, attrs []Attr
 // columns overlap across rows (co-support > 0) and histograms repeat
 // values (entropy exercises the memo path).
 func randomRow(rng *rand.Rand, id string, attrPool []string) *Row {
-	row := &Row{SystemID: id, Cells: make(map[string][]string)}
+	src := New()
+	row := src.NewRow(id)
 	for _, attr := range attrPool {
 		if rng.Intn(3) == 0 {
 			continue // absent on this system
 		}
 		n := 1 + rng.Intn(2)
 		for k := 0; k < n; k++ {
-			row.Cells[attr] = append(row.Cells[attr], fmt.Sprintf("v%d", rng.Intn(4)))
+			src.Add(row, attr, fmt.Sprintf("v%d", rng.Intn(4)))
+		}
+	}
+	return row
+}
+
+// detachedRow builds a row holding cells in a scratch dataset of its own,
+// the way the assembler hands delta rows to AddRows.
+func detachedRow(id string, cells map[string][]string) *Row {
+	src := New()
+	row := src.NewRow(id)
+	for attr, vs := range cells {
+		for _, v := range vs {
+			src.Add(row, attr, v)
 		}
 	}
 	return row
@@ -117,12 +131,12 @@ func randomRow(rng *rand.Rand, id string, attrPool []string) *Row {
 // behind others in the dictionary — or "" if there is none.
 func firstOccurrenceRow(d *Dataset, attr string) string {
 	for i, row := range d.Rows {
-		vs := row.Cells[attr]
+		vs := row.Instances(attr)
 		if len(vs) == 0 {
 			continue
 		}
 		for _, later := range d.Rows[i+1:] {
-			if slices.Contains(later.Cells[attr], vs[0]) {
+			if slices.Contains(later.Instances(attr), vs[0]) {
 				return row.SystemID
 			}
 		}
@@ -210,7 +224,7 @@ func TestDeltaIndexMatchesRebuild(t *testing.T) {
 func TestRetireFirstOccurrenceMovesValue(t *testing.T) {
 	d := New()
 	for i, v := range []string{"a", "b", "c", "a"} {
-		d.AddRows(&Row{SystemID: fmt.Sprintf("s%d", i), Cells: map[string][]string{"app:x": {v}}})
+		d.AddRows(detachedRow(fmt.Sprintf("s%d", i), map[string][]string{"app:x": {v}}))
 	}
 	d.Index()
 	d.RetireRows("s0")
@@ -232,9 +246,9 @@ func TestAddRowsDeclaresNewAttrs(t *testing.T) {
 	d.DeclareAttr("app:known", conftypes.TypeFilePath, false)
 	d.Index() // cache a snapshot before the columns exist in it
 	d.AddRows(
-		&Row{SystemID: "s1", Cells: map[string][]string{
+		detachedRow("s1", map[string][]string{
 			"app:zeta": {"1"}, "app:alpha": {"2"}, "app:known": {"/x"},
-		}},
+		}),
 	)
 	attrs := d.Attributes()
 	if len(attrs) != 3 {
@@ -288,7 +302,7 @@ func TestDeltaSharesUntouchedColumns(t *testing.T) {
 	d.Add(r1, "app:x", "1")
 	d.Add(r1, "app:y", "2")
 	old := d.Index()
-	d.AddRows(&Row{SystemID: "s2", Cells: map[string][]string{"app:x": {"3"}}})
+	d.AddRows(detachedRow("s2", map[string][]string{"app:x": {"3"}}))
 	nix := d.Index()
 	if nix == old {
 		t.Fatal("AddRows did not produce a new snapshot")

@@ -1,17 +1,16 @@
 // Columnar index: a per-attribute snapshot of the dataset with presence
 // bitsets, value dictionaries and memoized statistics.
 //
-// The assembled table is row-oriented (one map of cells per system image),
-// which is the natural shape for assembly but the wrong shape for rule
-// inference: the engine asks column questions — "in how many systems do A
-// and B co-occur?", "what is the entropy of A?" — thousands of times per
-// run. The Index answers those in O(rows/64) and O(1) respectively:
+// The dataset stores each attribute as a column of per-row instance
+// slices, and the rule engine asks column questions — "in how many
+// systems do A and B co-occur?", "what is the entropy of A?" — thousands
+// of times per run. The Index finishes each column once so it answers
+// those in O(rows/64) and O(1) respectively:
 //
 //   - each attribute gets a presence bitset ([]uint64, one bit per row), so
 //     candidate support is popcount(bitsA AND bitsB);
-//   - each attribute's per-row instance slices are laid out in a dense
-//     column, so validation sweeps index a slice instead of hashing into
-//     every row's cell map;
+//   - the snapshot shares the dataset's columns of per-row instance
+//     slices, so validation sweeps index a slice;
 //   - each attribute gets a value dictionary: its distinct values in
 //     first-appearance order (row order, then instance order), each value's
 //     instance count, and every row's first-value ID. A training column
@@ -23,12 +22,13 @@
 //     summed over the dictionary counts in dictionary order, so it is the
 //     same float on every run.
 //
-// The snapshot is invalidated (not updated in place) by the row mutators
-// Add and NewRow, and lazily rebuilt on the next access; DeclareAttr keeps
-// it (a cell-less column is indistinguishable from an unknown one), and
-// the batch mutators AddRows/RetireRows replace it with a copy-on-write
-// delta snapshot (see delta.go) instead of discarding it. A caller must
-// not retain an *Index across mutations; re-fetch it with Dataset.Index
+// Finishing a column walks its instance slices only. The snapshot is
+// invalidated (not updated in place) by the row mutators NewRow, Add and
+// Set, and lazily rebuilt on the next access; DeclareAttr keeps it (a
+// cell-less column is indistinguishable from an unknown one), and the
+// batch mutators AddRows/RetireRows replace it with a copy-on-write delta
+// snapshot (see delta.go) instead of discarding it. A caller must not
+// retain an *Index across mutations; re-fetch it with Dataset.Index
 // instead. Snapshot access is safe for concurrent readers (the scan
 // engine's workers and the rule engine's candidate pool both read it in
 // parallel).
@@ -44,8 +44,8 @@ type colStats struct {
 	// bits is the presence bitset: bit r is set iff Rows[r] has at least
 	// one instance of the attribute.
 	bits []uint64
-	// rowVals holds each row's instance slice (nil for absent rows). The
-	// slices alias the row storage; the snapshot is discarded on mutation.
+	// rowVals is the dataset's column: each row's instance slice (nil for
+	// absent rows), ending at the last row holding the attribute.
 	rowVals [][]string
 	// dict holds the distinct instance values in first-appearance order
 	// (row order, then instance order) and counts each one's instances.
@@ -65,9 +65,8 @@ type colStats struct {
 // Index is an immutable columnar snapshot of a dataset. Obtain one with
 // Dataset.Index; all methods are safe for concurrent use.
 type Index struct {
-	rows  int
-	words int
-	cols  map[string]*colStats
+	rows int
+	cols map[string]*colStats
 }
 
 // emptyCol is returned for attributes the snapshot does not know, so
@@ -104,8 +103,9 @@ func (ix *Index) Cardinality(attr string) int { return len(ix.col(attr).dict) }
 func (ix *Index) PresenceBits(attr string) []uint64 { return ix.col(attr).bits }
 
 // RowValues returns the attribute's column: one instance slice per row
-// (nil for rows where the attribute is absent). Shared storage — read
-// only. It is nil for unknown attributes.
+// (nil for rows where the attribute is absent), ending at the last row
+// that holds the attribute. Shared storage — read only. It is nil for
+// unknown attributes.
 func (ix *Index) RowValues(attr string) [][]string { return ix.col(attr).rowVals }
 
 // Dict returns the attribute's value dictionary: its distinct values in
@@ -151,51 +151,59 @@ func (ix *Index) CoSupport(attrA, attrB string) int {
 	return n
 }
 
-// buildIndex scans the table once and assembles the columnar snapshot.
-// The declared columns, their bitsets and their first-value IDs are cut
-// from one allocation each. A delta snapshot that shares one of these
-// columns keeps the whole snapshot reachable; delta columns are allocated
-// one by one, so at most one full snapshot is held beyond the current one.
-func buildIndex(d *Dataset) *Index {
+// buildIndex finishes every column of the dataset into a snapshot. The
+// columns, their bitsets and their first-value IDs are cut from one
+// allocation each. A delta snapshot that shares one of these columns
+// keeps the whole snapshot reachable; delta columns are allocated one by
+// one, so at most one full snapshot is held beyond the current one. After
+// a retirement, prev is the snapshot before it and from holds each
+// remaining row's old position, and only the columns that lost cells pay
+// the dictionary rebuild (see carry).
+func buildIndex(d *Dataset, prev *Index, from []int) *Index {
 	rows := len(d.Rows)
 	words := (rows + 63) / 64
-	ix := &Index{rows: rows, words: words, cols: make(map[string]*colStats, len(d.attrs))}
+	ix := &Index{rows: rows, cols: make(map[string]*colStats, len(d.attrs))}
 	cols := make([]colStats, len(d.attrs))
 	bitSlab := make([]uint64, len(d.attrs)*words)
+	idSlab := make([]int32, len(d.attrs)*rows)
+	var b dictBuilder
 	for i, a := range d.attrs {
 		c := &cols[i]
 		c.bits = bitSlab[i*words : (i+1)*words : (i+1)*words]
-		c.rowVals = make([][]string, rows)
-		ix.cols[a.Name] = c
-	}
-	for r, row := range d.Rows {
-		for name, vs := range row.Cells {
-			if len(vs) == 0 {
-				continue
-			}
-			c, ok := ix.cols[name]
-			if !ok {
-				// Cells can only gain attributes through Add, which
-				// declares the column; tolerate hand-built rows anyway.
-				c = &colStats{bits: make([]uint64, words), rowVals: make([][]string, rows)}
-				ix.cols[name] = c
-			}
-			c.bits[r>>6] |= 1 << (r & 63)
-			c.rowVals[r] = vs
-			c.present++
-			c.instances += len(vs)
-		}
-	}
-	idSlab := make([]int32, len(ix.cols)*rows)
-	var b dictBuilder
-	i := 0
-	for _, c := range ix.cols {
 		c.firstIDs = idSlab[i*rows : (i+1)*rows : (i+1)*rows]
-		b.column(c)
-		i++
+		c.rowVals = d.tab.cols[i].vals
+		ix.cols[a.Name] = c
+		if prev != nil && c.carry(prev.col(a.Name), from) {
+			continue
+		}
+		b.begin()
+		b.fill(c, 0)
+		b.end(c)
 	}
 	b.finish()
 	return ix
+}
+
+// carry gives c the dictionary and statistics of old, its column before
+// a retirement, moving each row's first-value ID from its old position in
+// from. A column that lost cells cannot keep them: carry then leaves c's
+// bits clear and reports false.
+func (c *colStats) carry(old *colStats, from []int) bool {
+	present := 0
+	for r, o := range from {
+		c.firstIDs[r] = -1
+		if o < len(old.firstIDs) && old.firstIDs[o] >= 0 {
+			c.firstIDs[r] = old.firstIDs[o]
+			c.bits[r>>6] |= 1 << (r & 63)
+			present++
+		}
+	}
+	if present != old.present {
+		clear(c.bits)
+		return false
+	}
+	c.present, c.instances, c.dict, c.counts, c.entropy = old.present, old.instances, old.dict, old.counts, old.entropy
+	return true
 }
 
 // dictBuilder builds the value dictionaries of a snapshot's columns, one
@@ -219,21 +227,24 @@ type builtDict struct {
 	lo, hi int
 }
 
-// column builds c's dictionary, first-value IDs and entropy from its row
-// column. c.firstIDs must be as long as c.rowVals.
-func (b *dictBuilder) column(c *colStats) {
-	b.begin()
-	for r, vs := range c.rowVals {
-		if len(vs) == 0 {
+// fill indexes the rows of c.firstIDs from onwards into c and the
+// current dictionary: presence bits, counts, first-value IDs and
+// dictionary entries. c.bits must cover c.firstIDs.
+func (b *dictBuilder) fill(c *colStats, from int) {
+	for r := from; r < len(c.firstIDs); r++ {
+		if r >= len(c.rowVals) || len(c.rowVals[r]) == 0 {
 			c.firstIDs[r] = -1
 			continue
 		}
+		vs := c.rowVals[r]
+		c.bits[r>>6] |= 1 << (r & 63)
+		c.present++
+		c.instances += len(vs)
 		c.firstIDs[r] = b.add(vs[0])
 		for _, v := range vs[1:] {
 			b.add(v)
 		}
 	}
-	b.end(c)
 }
 
 // begin starts a new column.

@@ -147,7 +147,7 @@ func TestIndexMatchesNaive(t *testing.T) {
 			present, instances := 0, 0
 			var col []string
 			for _, row := range d.Rows {
-				vs := row.Cells[a]
+				vs := row.Instances(a)
 				if len(vs) > 0 {
 					present++
 				}
@@ -186,7 +186,7 @@ func TestIndexMatchesNaive(t *testing.T) {
 			}
 			for r, row := range d.Rows {
 				id := ix.FirstIDs(a)[r]
-				if vs := row.Cells[a]; len(vs) == 0 && id != -1 || len(vs) > 0 && (id < 0 || values[id] != vs[0]) {
+				if vs := row.Instances(a); len(vs) == 0 && id != -1 || len(vs) > 0 && (id < 0 || values[id] != vs[0]) {
 					t.Fatalf("seed %d attr %s: FirstIDs[%d] = %d for row %v", seed, a, r, id, vs)
 				}
 			}
@@ -204,7 +204,7 @@ func TestIndexMatchesNaive(t *testing.T) {
 			for j := i + 1; j < len(attrs); j++ {
 				naive := 0
 				for _, row := range d.Rows {
-					if len(row.Cells[attrs[i]]) > 0 && len(row.Cells[attrs[j]]) > 0 {
+					if len(row.Instances(attrs[i])) > 0 && len(row.Instances(attrs[j])) > 0 {
 						naive++
 					}
 				}

@@ -159,21 +159,21 @@ func (dt *Detector) histogram(attr string) map[string]int {
 // checkNames flags configured entries whose names never occur in training.
 func (dt *Detector) checkNames(target *dataset.Dataset, row *dataset.Row) []*Warning {
 	var out []*Warning
-	for attr := range row.Cells {
+	row.Each(func(attr string, _ []string) {
 		a, declared := dt.Training.Attr(attr)
 		if a.Augmented {
-			continue
+			return
 		}
 		// Augmented attributes derived from an unseen entry are noise:
 		// the unseen entry itself is the warning.
 		if ta, ok := target.Attr(attr); ok && ta.Augmented {
-			continue
+			return
 		}
 		if declared && dt.trainingHas(attr) {
-			continue
+			return
 		}
 		if isEnvAttr(attr) {
-			continue
+			return
 		}
 		msg := fmt.Sprintf("entry %q was never seen in the training set", attr)
 		score := 20.0
@@ -182,7 +182,7 @@ func (dt *Detector) checkNames(target *dataset.Dataset, row *dataset.Row) []*War
 			score = 35.0 // probable misspelling is a strong signal
 		}
 		out = append(out, &Warning{Kind: KindName, Attr: attr, Message: msg, Score: score})
-	}
+	})
 	return out
 }
 
@@ -243,10 +243,10 @@ func (dt *Detector) checkCorrelations(ctx *templates.Ctx) []*Warning {
 // training.
 func (dt *Detector) checkTypes(row *dataset.Row, img *sysimage.Image) []*Warning {
 	var out []*Warning
-	for attr, values := range row.Cells {
+	row.Each(func(attr string, values []string) {
 		a, ok := dt.Training.Attr(attr)
 		if !ok || a.Augmented || a.Type.IsTrivial() || !dt.trainingHas(attr) {
-			continue
+			return
 		}
 		for _, v := range values {
 			if conftypes.LooksLikeRegexOrGlob(v) {
@@ -278,7 +278,7 @@ func (dt *Detector) checkTypes(row *dataset.Row, img *sysimage.Image) []*Warning
 				Score: score,
 			})
 		}
-	}
+	})
 	return out
 }
 
@@ -287,13 +287,13 @@ func (dt *Detector) checkTypes(row *dataset.Row, img *sysimage.Image) []*Warning
 func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
 	samples := len(dt.Training.Rows)
 	var out []*Warning
-	for attr, values := range row.Cells {
+	row.Each(func(attr string, values []string) {
 		// Augmented attributes participate: deviations in environment
 		// facts (extension_dir.type = file where training only ever saw
 		// dir) are precisely the Env detections of the paper.
 		a, ok := dt.Training.Attr(attr)
 		if !ok || !dt.trainingHas(attr) {
-			continue
+			return
 		}
 		seen := dt.histogram(attr)
 		card := len(seen)
@@ -301,7 +301,7 @@ func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
 		// names, addresses — carry no peer signal; a fresh value there is
 		// expected, not suspicious.
 		if card*2 >= samples {
-			continue
+			return
 		}
 		for _, v := range values {
 			if seen[v] > 0 {
@@ -326,7 +326,7 @@ func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
 				Score: score,
 			})
 		}
-	}
+	})
 	// Sorting by the report's own key before the cut keeps the same
 	// warnings whatever order the cells were visited in.
 	slices.SortStableFunc(out, reportOrder)

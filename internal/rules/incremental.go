@@ -23,7 +23,7 @@
 package rules
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/conftypes"
@@ -189,9 +189,8 @@ func (e *Engine) InferDelta(d *dataset.Dataset, images map[string]*sysimage.Imag
 	root.Logger(e.Log).Debug("incremental rule inference done",
 		"candidates", candidates, "kept", tally.stats.Kept,
 		"reused", reused, "revalidated", revalidated)
-	rules := tally.rules
-	sort.Slice(rules, func(i, j int) bool { return rules[i].Key() < rules[j].Key() })
-	return rules
+	slices.SortFunc(tally.rules, compareKeys)
+	return tally.rules
 }
 
 // rowContexts builds the evaluation contexts of a delta's rows.

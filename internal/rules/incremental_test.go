@@ -28,9 +28,11 @@ func oracleInfer(d *dataset.Dataset, images map[string]*sysimage.Image, cfg Conf
 }
 
 // detachedRandomRow mirrors randomDataset's cell distribution but builds a
-// detached row for AddRows, drawing from the same typed value pools.
+// detached row for AddRows, in a scratch dataset of its own, drawing from
+// the same typed value pools.
 func detachedRandomRow(rng *rand.Rand, id string, attrs []dataset.Attribute) *dataset.Row {
-	row := &dataset.Row{SystemID: id, Cells: make(map[string][]string)}
+	src := dataset.New()
+	row := src.NewRow(id)
 	for i, a := range attrs {
 		if rng.Float64() > 0.75 {
 			continue
@@ -43,9 +45,9 @@ func detachedRandomRow(rng *rand.Rand, id string, attrs []dataset.Attribute) *da
 		if i%3 != 0 {
 			pick = rng.Intn(len(pool))
 		}
-		row.Cells[a.Name] = append(row.Cells[a.Name], pool[pick])
+		src.Add(row, a.Name, pool[pick])
 		if rng.Float64() < 0.15 {
-			row.Cells[a.Name] = append(row.Cells[a.Name], pool[rng.Intn(len(pool))])
+			src.Add(row, a.Name, pool[rng.Intn(len(pool))])
 		}
 	}
 	return row

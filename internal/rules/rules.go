@@ -15,18 +15,19 @@
 // reads memoized per-attribute entropies instead of rebuilding value
 // histograms per candidate. Value-only templates are not validated row by
 // row at all: each distinct value of a column is interpreted once and the
-// candidate is counted from the meanings (see meanings.go). InferSerial
-// remains the index-free, single-threaded oracle that calls Validate on
-// every row; the two are equivalence-tested on rules and Stats alike.
+// candidate is counted from the meanings (see meanings.go). The tests keep
+// InferSerial, the index-free, single-threaded oracle that calls Validate
+// on every row, and hold the two to the same rules and Stats.
 package rules
 
 import (
+	"cmp"
 	"encoding/json"
 	"log/slog"
 	"math/bits"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,6 +80,29 @@ func (r *Rule) String() string {
 
 // Key identifies a rule regardless of statistics.
 func (r *Rule) Key() string { return r.Template + "|" + r.AttrA + "|" + r.AttrB }
+
+// compareKeys orders rules as their keys compare, a.Key() against
+// b.Key(), without building either. Comparing the fields one by one would
+// differ when one field is a prefix of the other, since '|' sorts after
+// most name bytes, so the keys are walked as the byte strings they spell.
+func compareKeys(a, b *Rule) int {
+	x := [...]string{a.Template, "|", a.AttrA, "|", a.AttrB}
+	y := [...]string{b.Template, "|", b.AttrA, "|", b.AttrB}
+	var s, t string
+	for i, j := 0, 0; ; {
+		for ; s == "" && i < len(x); i++ {
+			s = x[i]
+		}
+		for ; t == "" && j < len(y); j++ {
+			t = y[j]
+		}
+		n := min(len(s), len(t))
+		if c := strings.Compare(s[:n], t[:n]); c != 0 || n == 0 {
+			return cmp.Or(c, cmp.Compare(len(s), len(t)))
+		}
+		s, t = s[n:], t[n:]
+	}
+}
 
 // Config holds the inference thresholds (Section 5.2 defaults).
 type Config struct {
@@ -310,9 +334,8 @@ func (e *Engine) infer(d *dataset.Dataset, images map[string]*sysimage.Image, ca
 	root.Logger(e.Log).Debug("rule inference done",
 		"candidates", candidates, "kept", total.stats.Kept,
 		"pruned_support", total.prunedSupport, "pruned_entropy", total.stats.EntropyRejected)
-	rules := total.rules
-	sort.Slice(rules, func(i, j int) bool { return rules[i].Key() < rules[j].Key() })
-	return rules, total.cands
+	slices.SortFunc(total.rules, compareKeys)
+	return total.rules, total.cands
 }
 
 // rejectReason records why a candidate did not become a rule.
@@ -325,43 +348,6 @@ const (
 	confidenceRejected
 	entropyRejected
 )
-
-// InferSerial is the single-threaded, index-free reference implementation:
-// the oracle for the parallelism and columnar-index equivalence tests, and
-// the baseline of the indexed-inference benchmark. It validates every
-// candidate against every system with plain row lookups and applies the
-// same filters in the same order as the indexed path.
-func (e *Engine) InferSerial(d *dataset.Dataset, images map[string]*sysimage.Image) []*Rule {
-	defer e.Telemetry.StartStage(telemetry.StageRulesInfer)()
-	root := e.Telemetry.StartSpan("rules.infer",
-		telemetry.A("templates", strconv.Itoa(len(e.Templates))),
-		telemetry.A("workers", "1"))
-	defer root.End()
-	timed := e.Telemetry != nil
-	ctxs := e.contexts(d, images)
-	var tally inferTally
-	var local telemetry.Histogram
-	candidates := 0
-	e.forEachCandidate(d, nil, func(c candidate) {
-		candidates++
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		tally.record(e.evaluateSerial(d, ctxs, c))
-		if timed {
-			local.Observe(time.Since(start))
-		}
-	})
-	e.Telemetry.MergeHistogram(telemetry.HistRuleValidate, &local)
-	tally.stats.Candidates = candidates
-	e.LastStats = tally.stats
-	e.Telemetry.Add(telemetry.CounterRulesValidated, int64(candidates))
-	e.Telemetry.Add(telemetry.CounterRulesKept, int64(tally.stats.Kept))
-	rules := tally.rules
-	sort.Slice(rules, func(i, j int) bool { return rules[i].Key() < rules[j].Key() })
-	return rules
-}
 
 // forEachCandidate enumerates every eligible (template, attrA, attrB) pair
 // without materializing the instantiation space. Type-based attribute
@@ -516,39 +502,6 @@ func sweep(ix *dataset.Index, ctxs []templates.Ctx, c candidate) (applicable, va
 		}
 	}
 	return applicable, valid
-}
-
-// evaluateSerial validates one candidate with plain per-row lookups and no
-// index — the reference the indexed path is tested against. The dataset's
-// memoized entropy is shared with the indexed path so both report
-// bit-identical rule statistics.
-func (e *Engine) evaluateSerial(d *dataset.Dataset, ctxs []templates.Ctx, c candidate) (*Rule, rejectReason) {
-	total := len(ctxs)
-	support, applicable, valid := 0, 0, 0
-	for i := range ctxs {
-		ctx := &ctxs[i]
-		va := ctx.Row.Instances(c.attrA)
-		vb := ctx.Row.Instances(c.attrB)
-		if len(va) == 0 || len(vb) == 0 {
-			continue
-		}
-		support++
-		holds, app := c.tpl.Validate(va, vb, ctx)
-		if !app {
-			continue
-		}
-		applicable++
-		if holds {
-			valid++
-		}
-	}
-	if total == 0 || support == 0 {
-		return nil, noEvidence
-	}
-	if stats.SupportFraction(support, total) < e.Config.MinSupportFraction {
-		return nil, supportRejected
-	}
-	return e.finish(c, total, support, applicable, valid, d.Entropy(c.attrA), d.Entropy(c.attrB))
 }
 
 // finish applies the shared filter chain — no applicable evidence, then

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -193,7 +194,7 @@ func TestContextsOneAllocationFresh(t *testing.T) {
 	if again := e.contexts(d, imgs); &again[0] != &first[0] {
 		t.Fatal("contexts over unchanged rows were rebuilt")
 	}
-	added := &dataset.Row{SystemID: "added", Cells: map[string][]string{}}
+	added := &dataset.Row{SystemID: "added"}
 	d.AddRows(added)
 	d.RetireRows(d.Rows[0].SystemID)
 	got := e.contexts(d, imgs)
@@ -366,5 +367,35 @@ func TestInferStats(t *testing.T) {
 	e2.InferSerial(d, imgs)
 	if e2.LastStats != s {
 		t.Fatalf("serial stats differ: %+v vs %+v", e2.LastStats, s)
+	}
+}
+
+// TestCompareKeysMatchesKeyOrder is the property compareKeys rests on:
+// on random rules whose fields share prefixes and hold '|', '{', '~' and
+// ':' (bytes on both sides of '|'), it orders every pair exactly as their
+// built keys compare.
+func TestCompareKeysMatchesKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []string{"a", "b", "|", "{", "~", ":", "ab", "a|", ""}
+	field := func() string {
+		var b strings.Builder
+		for n := rng.Intn(4); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	var rs []*Rule
+	for i := 0; i < 300; i++ {
+		rs = append(rs, &Rule{Template: field(), AttrA: field(), AttrB: field()})
+	}
+	for _, a := range rs {
+		for _, b := range rs {
+			if got, want := compareKeys(a, b), strings.Compare(a.Key(), b.Key()); got != want {
+				t.Fatalf("compareKeys(%q, %q) = %d, want %d", a.Key(), b.Key(), got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { compareKeys(rs[0], rs[1]) }); n != 0 {
+		t.Fatalf("compareKeys allocated %.0f times, want 0", n)
 	}
 }

@@ -176,8 +176,8 @@ func normalize(p string) string {
 // isClean reports that path.Clean would return p unchanged. It is one
 // byte scan and errs only towards false: any element starting with '.'
 // (".", "..", but also ".hidden") sends p through path.Clean.
-func isClean(p string) bool {
-	if p == "/" {
+func isClean[P string | []byte](p P) bool {
+	if len(p) == 1 && p[0] == '/' {
 		return true
 	}
 	n := len(p)
@@ -234,6 +234,18 @@ func (im *Image) Lookup(p string) *FileMeta {
 
 // Exists reports whether a path exists in the image.
 func (im *Image) Exists(p string) bool { return im.Lookup(p) != nil }
+
+// ExistsJoined reports whether Exists(strings.TrimSuffix(dir, "/") + "/" +
+// rel), joining the path in a stack buffer: a clean join is looked up
+// without building a string.
+func (im *Image) ExistsJoined(dir, rel string) bool {
+	var buf [256]byte
+	p := append(append(append(buf[:0], strings.TrimSuffix(dir, "/")...), '/'), rel...)
+	if isClean(p) {
+		return im.Files[string(p)] != nil
+	}
+	return im.Exists(string(p))
+}
 
 // IsDir reports whether a path exists and is a directory (symlinks are
 // resolved one level).

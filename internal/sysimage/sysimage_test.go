@@ -334,3 +334,44 @@ func TestPermissionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExistsJoinedMatchesConcat holds ExistsJoined to the expression it
+// replaces, Exists(strings.TrimSuffix(dir, "/") + "/" + rel), over roots
+// with and without trailing slashes, the root itself, parts starting
+// with "." or "..", empty parts and joins too long for the stack buffer.
+func TestExistsJoinedMatchesConcat(t *testing.T) {
+	im := testImage()
+	long := strings.Repeat("deep/", 60)
+	im.AddDir("/srv/"+long+"leaf", "root", "root", 0o755)
+	dirs := []string{"/", "", "/var/lib", "/var/lib/", "/var/lib//", "/var//lib", "var/lib", ".", "/etc", "/srv", "/srv/" + long}
+	rels := []string{"mysql", "mysql/ibdata1", "./mysql", "../lib/mysql", "..", ".", "", ".hidden",
+		"/mysql", "mysql/", "my.cnf", "etc/my.cnf", "leaf", long + "leaf", "no/such"}
+	found := 0
+	for _, dir := range dirs {
+		for _, rel := range rels {
+			want := im.Exists(strings.TrimSuffix(dir, "/") + "/" + rel)
+			if got := im.ExistsJoined(dir, rel); got != want {
+				t.Errorf("ExistsJoined(%q, %q) = %v, want %v", dir, rel, got, want)
+			}
+			if want {
+				found++
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no joined path exists: the table checks only misses")
+	}
+}
+
+// TestExistsJoinedAllocs pins the point of ExistsJoined: a clean join
+// builds no string.
+func TestExistsJoinedAllocs(t *testing.T) {
+	im := testImage()
+	if n := testing.AllocsPerRun(100, func() {
+		if !im.ExistsJoined("/var/lib/", "mysql/ibdata1") || im.ExistsJoined("/etc", "nope") {
+			t.Fatal("wrong answer")
+		}
+	}); n != 0 {
+		t.Fatalf("ExistsJoined on clean paths allocated %.0f times, want 0", n)
+	}
+}

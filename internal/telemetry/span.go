@@ -1,6 +1,9 @@
 package telemetry
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Attr is one key/value annotation on a span (image name, worker id, app,
 // rule key, ...).
@@ -47,6 +50,9 @@ func (r *Recorder) StartSpan(name string, attrs ...Attr) *Span {
 	return r.startSpan(name, 0, attrs)
 }
 
+// startSpan copies attrs rather than keeping the caller's slice, so the
+// variadic slice of StartSpan and StartChild stays on the caller's stack
+// and a nil recorder or span allocates nothing.
 func (r *Recorder) startSpan(name string, parent int64, attrs []Attr) *Span {
 	if r == nil {
 		return nil
@@ -57,7 +63,7 @@ func (r *Recorder) startSpan(name string, parent int64, attrs []Attr) *Span {
 		id:     r.spanID.Add(1),
 		parent: parent,
 		name:   name,
-		attrs:  attrs,
+		attrs:  slices.Clone(attrs),
 		start:  now.Sub(r.epoch),
 		began:  now,
 	}

@@ -138,3 +138,34 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		}
 	}
 }
+
+// TestNilSpanAllocatesNothing pins what lets hot loops open spans
+// unconditionally: with telemetry off, starting a span or a child with
+// attributes, annotating and ending it allocate nothing.
+func TestNilSpanAllocatesNothing(t *testing.T) {
+	var r *Recorder
+	id := strconv.Itoa(12345)
+	if n := testing.AllocsPerRun(100, func() {
+		root := r.StartSpan("root", A("image", id), A("worker", "1"))
+		child := root.StartChild("child", A("image", id), A("worker", "1"))
+		child.SetAttr("k", id)
+		child.End()
+		root.End()
+	}); n != 0 {
+		t.Fatalf("nil spans allocated %.0f times per run, want 0", n)
+	}
+}
+
+// TestLiveSpanAttrsOwned checks that a live span keeps its own copy of
+// its attributes: the caller's slice may change after the call.
+func TestLiveSpanAttrsOwned(t *testing.T) {
+	r := New()
+	attrs := []Attr{A("k", "v")}
+	sp := r.StartSpan("root", attrs...)
+	attrs[0] = A("k", "changed")
+	sp.End()
+	snap := r.Snapshot()
+	if len(snap.Spans) != 1 || len(snap.Spans[0].Attrs) != 1 || snap.Spans[0].Attrs[0].Value != "v" {
+		t.Fatalf("span attributes = %+v, want [k=v]", snap.Spans)
+	}
+}

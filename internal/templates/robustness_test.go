@@ -18,8 +18,8 @@ func TestValidatorsNeverPanic(t *testing.T) {
 	img.Groups["g"] = &sysimage.Group{Name: "g", GID: 1}
 	img.AddDir("/d", "u", "g", 0o755)
 	ctxs := []*Ctx{
-		{Row: &dataset.Row{Cells: map[string][]string{}}, Image: img},
-		{Row: &dataset.Row{Cells: map[string][]string{}}},
+		{Row: &dataset.Row{}, Image: img},
+		{Row: &dataset.Row{}},
 	}
 	f := func(a, b []string) bool {
 		for _, tpl := range Predefined() {
@@ -44,7 +44,7 @@ func TestValidatorsNeverPanic(t *testing.T) {
 // TestValidatorsAbstainWithoutEvidence: every validator reports
 // inapplicable for empty instance lists.
 func TestValidatorsAbstainWithoutEvidence(t *testing.T) {
-	ctx := &Ctx{Row: &dataset.Row{Cells: map[string][]string{}}}
+	ctx := &Ctx{Row: &dataset.Row{}}
 	for _, tpl := range Predefined() {
 		if _, app := tpl.Validate(nil, nil, ctx); app {
 			t.Errorf("%s claims applicability with no instances", tpl.ID)
@@ -60,7 +60,7 @@ func TestValidatorDeterminism(t *testing.T) {
 	img := sysimage.New("det")
 	img.Users["mysql"] = &sysimage.User{Name: "mysql", UID: 27, GID: 27}
 	img.AddDir("/var/lib/mysql", "mysql", "mysql", 0o750)
-	ctx := &Ctx{Row: &dataset.Row{Cells: map[string][]string{}}, Image: img}
+	ctx := &Ctx{Row: &dataset.Row{}, Image: img}
 	inputs := [][2][]string{
 		{{"/var/lib/mysql"}, {"mysql"}},
 		{{"1M"}, {"2M"}},

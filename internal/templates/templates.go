@@ -234,7 +234,7 @@ func Predefined() []*Template {
 				for _, part := range b {
 					found := false
 					for _, root := range a {
-						if ctx.Image.Exists(strings.TrimSuffix(root, "/") + "/" + part) {
+						if ctx.Image.ExistsJoined(root, part) {
 							found = true
 							break
 						}

@@ -10,7 +10,7 @@ import (
 )
 
 func ctxWith(img *sysimage.Image) *Ctx {
-	return &Ctx{Row: &dataset.Row{SystemID: "t", Cells: map[string][]string{}}, Image: img}
+	return &Ctx{Row: &dataset.Row{SystemID: "t"}, Image: img}
 }
 
 func envImage() *sysimage.Image {
