@@ -22,9 +22,11 @@ loc:
 	printf '{\n  "nonTest": %d,\n  "test": %d,\n  "perfbench": %d\n}\n' $$nontest $$tests $$perf > LOC.json
 	@cat LOC.json
 
-# Tier 1: the gate every change must keep green — build + full test suite.
+# Tier 1: the gate every change must keep green — build + full test
+# suite, plus a vet of perfbench/: it is its own Go module, so nothing
+# else compiles it, and a fleet or serve API change can break it.
 tier1:
-	$(GO) build ./... && $(GO) test ./...
+	$(GO) build ./... && $(GO) test ./... && cd perfbench && $(GO) vet ./...
 
 # Tier 2: static analysis + the full suite under the race detector, then
 # an end-to-end smoke of the CLI telemetry exporters. The parallel
@@ -159,7 +161,7 @@ bench-serve:
 # synthetic fleets, recorded machine-readably like the other bench
 # families. ns/image is the throughput headline; peak-heap-bytes staying
 # flat across the 1k→100k axis is the constant-memory claim, and
-# steals/op shows the work-stealing deques actually engage.
+# steals/op counts the claims workers make from a foreign shard's cursor.
 bench-fleet:
 	$(GO) test -run '^$$' -bench=FleetScan -benchmem -timeout 30m -json . > BENCH_fleet.json.tmp && mv BENCH_fleet.json.tmp BENCH_fleet.json
 	./scripts/bench_summary.sh BENCH_fleet.json

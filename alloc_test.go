@@ -47,7 +47,7 @@ const (
 	maxLearnAllocsPerImageRace = 37
 	// The batch engine's own allocations per image on top of Plan.Check:
 	// a warmed one-shard run over 200 resident images with a recorder
-	// measured 0.11 (the run's goroutines, spans and deques amortized;
+	// measured 0.09 (the run's goroutines, spans and cursors amortized;
 	// nothing per image). Under -race, the two measurements rebuild
 	// different numbers of pool-dropped scratches: the difference read
 	// -0.5 to +0.6.

@@ -204,7 +204,7 @@ func runLearn(args []string) (err error) {
 	if err := os.WriteFile(*rulesOut, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("learned %d rules from %d images -> %s\n", len(k.Rules), len(k.Training.Rows), *rulesOut)
+	fmt.Printf("learned %d rules from %d images -> %s\n", len(k.Rules), len(k.Training.Rows()), *rulesOut)
 	return nil
 }
 
@@ -391,7 +391,7 @@ func runScan(args []string) (err error) {
 	customFile := fs.String("custom", "", "customization file")
 	strict := fs.Bool("strict", false, "abort the batch on the first failing image instead of isolating it")
 	workers := fs.Int("workers", 0, "scan worker pool size (0 = NumCPU)")
-	shards := fs.Int("shards", 0, "split -targets into this many shards, each with its own queue and discovery (0 = one shard)")
+	shards := fs.Int("shards", 0, "split -targets into this many contiguous shards, each with its own claim cursor; idle workers steal from the others (0 = one shard)")
 	fleetSize := fs.Int("fleet", 0, "scan a synthetic fleet of this many images cycling the -targets corpus")
 	progress := fs.Bool("progress", false, "report periodic batch progress (done/total, findings, ETA) on stderr")
 	progressEvery := fs.Duration("progress-every", 2*time.Second, "progress reporting interval")
@@ -403,11 +403,12 @@ func runScan(args []string) (err error) {
 	if !exactlyOne(*training, *profileIn, *planIn) || *targets == "" {
 		return fmt.Errorf("scan: -targets and exactly one of -training / -profile / -plan are required")
 	}
-	if (*shards > 0 || *fleetSize > 0) && *strict {
+	if *shards > 1 && *strict {
 		// Strict mode's contract is "the first failure in input order
-		// fails the batch"; shards start their images out of input order,
-		// so a sharded batch could stop on a later image than that.
-		return fmt.Errorf("scan: -strict cannot be combined with -shards/-fleet")
+		// fails the batch". One shard's workers claim images in input
+		// order; more shards start theirs out of order, so a sharded
+		// batch could stop on a later image than that.
+		return fmt.Errorf("scan: -strict cannot be combined with -shards above 1")
 	}
 	fw, err := newFramework(*customFile)
 	if err != nil {

@@ -684,9 +684,23 @@ func TestRunScanFleetByteIdentical(t *testing.T) {
 		t.Fatalf("-fleet 40 summary wrong:\n%s", syn)
 	}
 
-	// -strict is rejected with -shards: shards start images out of input
-	// order, so the first failure seen need not be the first in order.
+	// -strict is rejected with -shards above 1: shards start images out
+	// of input order, so the first failure seen need not be the first in
+	// order.
 	if err := runScan([]string{"-training", training, "-targets", targets, "-shards", "2", "-strict"}); err == nil {
 		t.Fatal("-strict -shards should be rejected")
+	}
+	// One shard claims images in input order, so -strict runs with
+	// -shards 1 and with -fleet (one shard unless -shards says more).
+	lenient := captureScan(t, clean, "-training", training, "-targets", clean)
+	if got := captureScan(t, clean, "-training", training, "-targets", clean, "-shards", "1", "-strict"); got != lenient {
+		t.Fatalf("-shards 1 -strict output diverged:\ngot:\n%s\nwant:\n%s", got, lenient)
+	}
+	if got := captureScan(t, clean, "-training", training, "-targets", clean, "-fleet", "40", "-strict"); !strings.Contains(got, "scanned 40 images") {
+		t.Fatalf("-fleet 40 -strict summary wrong:\n%s", got)
+	}
+	err = runScan([]string{"-training", training, "-targets", targets, "-shards", "1", "-strict"})
+	if err == nil || !strings.Contains(err.Error(), "corrupt.json") {
+		t.Fatalf("-shards 1 -strict over a corrupt image = %v, want its ScanError", err)
 	}
 }

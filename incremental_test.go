@@ -20,7 +20,7 @@ func freshRules(t *testing.T, k *Knowledge) []*rules.Rule {
 	for _, a := range k.Training.Attributes() {
 		twin.DeclareAttr(a.Name, a.Type, a.Augmented)
 	}
-	twin.AddRows(k.Training.Rows...)
+	twin.AddRows(k.Training.Rows()...)
 	return New().Engine.Infer(twin, k.images)
 }
 
@@ -80,7 +80,7 @@ func TestIncrementalLearnEquivalence(t *testing.T) {
 			// The surviving fleet, learned in one batch, must make the same
 			// calls on every target as the incrementally maintained one.
 			var survivors []*sysimage.Image
-			for _, row := range k.Training.Rows {
+			for _, row := range k.Training.Rows() {
 				survivors = append(survivors, k.images[row.SystemID])
 			}
 			batch, err := New().Learn(survivors)
@@ -121,11 +121,11 @@ func TestIncrementalLearnErrors(t *testing.T) {
 	if err := fw.AddImages(k, training[0]); err == nil {
 		t.Fatal("AddImages accepted a duplicate image ID")
 	}
-	before := len(k.Training.Rows)
+	before := len(k.Training.Rows())
 	if err := fw.RetireImages(k, "no-such-image"); err != nil {
 		t.Fatalf("retiring an unknown ID should be a no-op, got %v", err)
 	}
-	if len(k.Training.Rows) != before {
+	if len(k.Training.Rows()) != before {
 		t.Fatal("no-op retire changed the training rows")
 	}
 	if err := fw.RetireImages(nil, "x"); err == nil {

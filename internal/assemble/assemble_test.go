@@ -36,8 +36,8 @@ func TestAssembleTrainingTypesAndAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Rows) != 3 {
-		t.Fatalf("rows = %d", len(d.Rows))
+	if len(d.Rows()) != 3 {
+		t.Fatalf("rows = %d", len(d.Rows()))
 	}
 	attr, ok := d.Attr("mysql:mysqld/datadir")
 	if !ok || attr.Type != conftypes.TypeFilePath {
@@ -53,11 +53,11 @@ func TestAssembleTrainingTypesAndAugmentation(t *testing.T) {
 		t.Fatalf("packet type = %s", a.Type)
 	}
 	// Augmented attributes exist and carry environment facts.
-	owner, ok := d.Rows[0].First("mysql:mysqld/datadir.owner")
+	owner, ok := d.Rows()[0].First("mysql:mysqld/datadir.owner")
 	if !ok || owner != "mysql" {
 		t.Fatalf("datadir.owner = %q ok=%v", owner, ok)
 	}
-	kind, _ := d.Rows[0].First("mysql:mysqld/datadir.type")
+	kind, _ := d.Rows()[0].First("mysql:mysqld/datadir.type")
 	if kind != "dir" {
 		t.Fatalf("datadir.type = %q", kind)
 	}
@@ -65,16 +65,16 @@ func TestAssembleTrainingTypesAndAugmentation(t *testing.T) {
 		t.Fatalf("augmented attr meta = %+v", a)
 	}
 	// IP augmentation.
-	local, ok := d.Rows[0].First("mysql:mysqld/bind-address.Local")
+	local, ok := d.Rows()[0].First("mysql:mysqld/bind-address.Local")
 	if !ok || local != "true" {
 		t.Fatalf("bind-address.Local = %q ok=%v", local, ok)
 	}
 	// Table 5b env attrs.
-	if v, ok := d.Rows[0].First("OS.DistName"); !ok || v != "centos" {
+	if v, ok := d.Rows()[0].First("OS.DistName"); !ok || v != "centos" {
 		t.Fatalf("OS.DistName = %q ok=%v", v, ok)
 	}
 	// HW absent: no MemSize column value.
-	if _, ok := d.Rows[0].First("MemSize"); ok {
+	if _, ok := d.Rows()[0].First("MemSize"); ok {
 		t.Fatal("MemSize must be absent for dormant images")
 	}
 }
@@ -86,13 +86,13 @@ func TestAssembleHardwarePresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := d.Rows[0].First("MemSize"); !ok || v != "16G" {
+	if v, ok := d.Rows()[0].First("MemSize"); !ok || v != "16G" {
 		t.Fatalf("MemSize = %q ok=%v", v, ok)
 	}
 	if a, _ := d.Attr("MemSize"); a.Type != conftypes.TypeSize || !a.Augmented {
 		t.Fatalf("MemSize attr = %+v", a)
 	}
-	if v, _ := d.Rows[0].First("CPU.Threads"); v != "8" {
+	if v, _ := d.Rows()[0].First("CPU.Threads"); v != "8" {
 		t.Fatalf("CPU.Threads = %q", v)
 	}
 }
@@ -117,15 +117,15 @@ func TestAssembleTargetUsesTrainingTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(td.Rows) != 1 {
-		t.Fatalf("target rows = %d", len(td.Rows))
+	if len(td.Rows()) != 1 {
+		t.Fatalf("target rows = %d", len(td.Rows()))
 	}
 	attr, _ := td.Attr("mysql:mysqld/datadir")
 	if attr.Type != conftypes.TypeFilePath {
 		t.Fatalf("target datadir type = %s (must come from training)", attr.Type)
 	}
 	// The augmented .type should say "file" for the bad value.
-	kind, ok := td.Rows[0].First("mysql:mysqld/datadir.type")
+	kind, ok := td.Rows()[0].First("mysql:mysqld/datadir.type")
 	if !ok || kind != "file" {
 		t.Fatalf("datadir.type = %q ok=%v", kind, ok)
 	}
@@ -181,7 +181,7 @@ func TestFlagEntriesGetOnValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := d.Rows[0].First("mysql:mysqld/skip-networking")
+	v, ok := d.Rows()[0].First("mysql:mysqld/skip-networking")
 	if !ok || v != "on" {
 		t.Fatalf("flag value = %q ok=%v", v, ok)
 	}
@@ -198,7 +198,7 @@ func TestPatternValuesSkipAugmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Glob value should not get .owner etc.
-	if _, ok := d.Rows[0].First("mysql:mysqld/log-bin.owner"); ok {
+	if _, ok := d.Rows()[0].First("mysql:mysqld/log-bin.owner"); ok {
 		t.Fatal("glob value must not be augmented")
 	}
 }
@@ -236,10 +236,10 @@ func TestCustomAugmenterAndEnvAttr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := d.Rows[0].First("mysql:mysqld/user.shell"); !ok || v != "/sbin/nologin" {
+	if v, ok := d.Rows()[0].First("mysql:mysqld/user.shell"); !ok || v != "/sbin/nologin" {
 		t.Fatalf("custom augment = %q ok=%v", v, ok)
 	}
-	if v, _ := d.Rows[0].First("Sys.Magic"); v != "7" {
+	if v, _ := d.Rows()[0].First("Sys.Magic"); v != "7" {
 		t.Fatalf("custom env attr = %q", v)
 	}
 }
@@ -252,7 +252,7 @@ func TestWorldReadableAugment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := d.Rows[0].First("mysql:mysqld/log.worldReadable"); !ok || v != "true" {
+	if v, ok := d.Rows()[0].First("mysql:mysqld/log.worldReadable"); !ok || v != "true" {
 		t.Fatalf("worldReadable = %q ok=%v", v, ok)
 	}
 }

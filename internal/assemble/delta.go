@@ -33,5 +33,5 @@ func (a *Assembler) AssembleDeltaRows(d *dataset.Dataset, images []*sysimage.Ima
 	added := len(d.Attributes()) - attrsBefore
 	a.Telemetry.Add(telemetry.CounterAttrsDeclared, int64(added))
 	root.SetAttr("new_attributes", strconv.Itoa(added))
-	return batch.Rows, nil
+	return batch.Rows(), nil
 }

@@ -36,7 +36,7 @@ func TestAssembleMergesIncludedFragments(t *testing.T) {
 	if !ok || lm.Type != conftypes.TypePartialFilePath {
 		t.Fatalf("fragment entry = %+v ok=%v", lm, ok)
 	}
-	if v, ok := d.Rows[0].First("apache:LoadModule/arg2"); !ok || v != "modules/libphp5.so" {
+	if v, ok := d.Rows()[0].First("apache:LoadModule/arg2"); !ok || v != "modules/libphp5.so" {
 		t.Fatalf("fragment value = %q ok=%v", v, ok)
 	}
 	// The Include directive itself is typed as a partial path (its target
@@ -57,7 +57,7 @@ func TestAssembleTargetWithFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := td.Rows[0].First("apache:LoadModule/arg2"); !ok {
+	if _, ok := td.Rows()[0].First("apache:LoadModule/arg2"); !ok {
 		t.Fatal("fragment entries missing from target assembly")
 	}
 }

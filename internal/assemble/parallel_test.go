@@ -104,7 +104,7 @@ func TestParallelEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got.Attributes(), want.Attributes()) {
 			t.Fatalf("workers=%d: attribute declarations diverge", workers)
 		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
+		if !reflect.DeepEqual(got.Rows(), want.Rows()) {
 			t.Fatalf("workers=%d: rows diverge", workers)
 		}
 		if got.CSV() != want.CSV() {
@@ -127,7 +127,7 @@ func TestWorkersOneUsesSerialPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
+	if !reflect.DeepEqual(got.Rows(), want.Rows()) {
 		t.Fatal("Workers=1 path diverges from serial reference")
 	}
 }

@@ -71,8 +71,8 @@ func (b *Detector) Check(img *sysimage.Image) ([]*Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := target.Rows[0]
-	samples := len(b.Training.Rows)
+	row := target.Rows()[0]
+	samples := len(b.Training.Rows())
 
 	var findings []*Finding
 	row.Each(func(attr string, values []string) {

@@ -196,13 +196,13 @@ func TestCollectedImageThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := ds.Rows[0].First("mysql:mysqld/datadir"); !ok || v != "/var/lib/mysql" {
+	if v, ok := ds.Rows()[0].First("mysql:mysqld/datadir"); !ok || v != "/var/lib/mysql" {
 		t.Fatalf("datadir = %q ok=%v", v, ok)
 	}
-	if _, ok := ds.Rows[0].First("mysql:mysqld/max_connections"); !ok {
+	if _, ok := ds.Rows()[0].First("mysql:mysqld/max_connections"); !ok {
 		t.Fatal("fragment entry missing")
 	}
-	if v, ok := ds.Rows[0].First("mysql:mysqld/datadir.type"); !ok || v != "dir" {
+	if v, ok := ds.Rows()[0].First("mysql:mysqld/datadir.type"); !ok || v != "dir" {
 		t.Fatalf("augmented type = %q ok=%v", v, ok)
 	}
 }

@@ -105,7 +105,7 @@ func corpusSamples(t *testing.T, app string, n int) map[string][]conftypes.Sampl
 	byID := corpus.ByID(images)
 	out := make(map[string][]conftypes.Sample)
 	for _, a := range d.Attributes() {
-		for _, row := range d.Rows {
+		for _, row := range d.Rows() {
 			for _, v := range row.Instances(a.Name) {
 				out[a.Name] = append(out[a.Name], conftypes.Sample{Value: v, Image: byID[row.SystemID]})
 			}

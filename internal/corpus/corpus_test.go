@@ -87,7 +87,7 @@ func TestCleanImagesSatisfyGroundTruthRules(t *testing.T) {
 				t.Fatalf("%s: unknown template %s", c.app, tr.Template)
 			}
 			present, holds := 0, 0
-			for _, row := range ds.Rows {
+			for _, row := range ds.Rows() {
 				va, vb := row.Instances(tr.AttrA), row.Instances(tr.AttrB)
 				if len(va) == 0 || len(vb) == 0 {
 					continue

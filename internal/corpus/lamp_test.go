@@ -115,7 +115,7 @@ func TestLAMPGroundTruthHolds(t *testing.T) {
 			t.Fatalf("unknown template %s", tr.Template)
 		}
 		present, holds := 0, 0
-		for _, row := range ds.Rows {
+		for _, row := range ds.Rows() {
 			va, vb := row.Instances(tr.AttrA), row.Instances(tr.AttrB)
 			if len(va) == 0 || len(vb) == 0 {
 				continue

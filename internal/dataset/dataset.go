@@ -109,11 +109,9 @@ func (c *column) cell(r, capacity int) *[]string {
 // Dataset is the assembled table, stored as columns.
 type Dataset struct {
 	attrs []Attribute
-	// tab holds the columns, parallel to attrs; Rows[i] views it at i.
-	tab *table
-	// Rows are the dataset's rows in order. Read only: add rows with
-	// NewRow or AddRows and remove them with RetireRows.
-	Rows  []*Row
+	// tab holds the columns, parallel to attrs; rows[i] views it at i.
+	tab   *table
+	rows  []*Row
 	spare []Row // where Grow keeps the rows it made room for
 
 	// idx caches the columnar snapshot (see index.go). Mutators store nil;
@@ -177,10 +175,15 @@ func (d *Dataset) Attr(name string) (Attribute, bool) {
 // Attributes returns all columns in declaration order.
 func (d *Dataset) Attributes() []Attribute { return d.attrs }
 
+// Rows returns the dataset's rows in order. Each row is a position in
+// this dataset's columns, so the slice is read only: add rows with
+// NewRow or AddRows and remove them with RetireRows.
+func (d *Dataset) Rows() []*Row { return d.rows }
+
 // Grow makes room for n more rows, so appending them allocates neither
 // row views nor a larger column.
 func (d *Dataset) Grow(n int) {
-	d.Rows = slices.Grow(d.Rows, n)
+	d.rows = slices.Grow(d.rows, n)
 	if len(d.spare) < n {
 		d.spare = make([]Row, n)
 	}
@@ -193,8 +196,8 @@ func (d *Dataset) NewRow(systemID string) *Row {
 	}
 	r := &d.spare[0]
 	d.spare = d.spare[1:]
-	*r = Row{SystemID: systemID, pos: len(d.Rows), t: d.tab}
-	d.Rows = append(d.Rows, r)
+	*r = Row{SystemID: systemID, pos: len(d.rows), t: d.tab}
+	d.rows = append(d.rows, r)
 	d.invalidate()
 	return r
 }
@@ -202,7 +205,7 @@ func (d *Dataset) NewRow(systemID string) *Row {
 // Add records an instance of an attribute in a row of d, declaring the
 // column on first use with type String.
 func (d *Dataset) Add(r *Row, attr, value string) {
-	vs := d.tab.cols[d.DeclareAttr(attr, conftypes.TypeString, false)].cell(r.pos, cap(d.Rows))
+	vs := d.tab.cols[d.DeclareAttr(attr, conftypes.TypeString, false)].cell(r.pos, cap(d.rows))
 	*vs = append(*vs, value)
 	d.invalidate()
 }
@@ -211,7 +214,7 @@ func (d *Dataset) Add(r *Row, attr, value string) {
 // column at position col. The column keeps the slice itself rather than
 // a copy.
 func (d *Dataset) Set(r *Row, col int, values []string) {
-	*d.tab.cols[col].cell(r.pos, cap(d.Rows)) = values[:len(values):len(values)]
+	*d.tab.cols[col].cell(r.pos, cap(d.rows)) = values[:len(values):len(values)]
 	d.invalidate()
 }
 
@@ -331,7 +334,7 @@ func (d *Dataset) Discretize(attrs []string) *Discretized {
 	ids := make(map[Item]int)
 	disc := &Discretized{}
 	seen := make(map[int]bool)
-	for r := range d.Rows {
+	for r := range d.rows {
 		var txn []int
 		clear(seen)
 		for _, c := range cols {
@@ -365,7 +368,7 @@ func (d *Dataset) CSV() string {
 		b.WriteString(csvEscape(a.Name))
 	}
 	b.WriteString("\n")
-	for r, row := range d.Rows {
+	for r, row := range d.rows {
 		b.WriteString(csvEscape(row.SystemID))
 		for i := range d.tab.cols {
 			b.WriteString(",")
@@ -385,5 +388,5 @@ func csvEscape(s string) string {
 
 // Summary returns a one-line description for logs.
 func (d *Dataset) Summary() string {
-	return fmt.Sprintf("%d attributes x %d rows", len(d.attrs), len(d.Rows))
+	return fmt.Sprintf("%d attributes x %d rows", len(d.attrs), len(d.rows))
 }

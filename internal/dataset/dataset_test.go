@@ -179,7 +179,7 @@ func TestMultiInstanceCellsJoined(t *testing.T) {
 
 func TestRowFirst(t *testing.T) {
 	d := sample()
-	r := d.Rows[2]
+	r := d.Rows()[2]
 	if _, ok := r.First("mysqld/datadir"); ok {
 		t.Fatal("absent attr should report !ok")
 	}

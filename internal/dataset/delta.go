@@ -47,7 +47,7 @@ func (d *Dataset) AddRows(rows ...*Row) {
 	for _, name := range fresh {
 		d.DeclareAttr(name, conftypes.TypeString, false)
 	}
-	ix, base := d.idx.Load(), len(d.Rows)
+	ix, base := d.idx.Load(), len(d.rows)
 	d.Grow(len(rows))
 	for _, row := range rows {
 		r := d.NewRow(row.SystemID)
@@ -74,8 +74,8 @@ func (d *Dataset) RetireRows(ids ...string) []*Row {
 		retire[id] = true
 	}
 	var removed []*Row
-	kept := d.Rows[:0]
-	for _, row := range d.Rows {
+	kept := d.rows[:0]
+	for _, row := range d.rows {
 		if retire[row.SystemID] {
 			removed = append(removed, row)
 		} else {
@@ -85,8 +85,8 @@ func (d *Dataset) RetireRows(ids ...string) []*Row {
 	if len(removed) == 0 {
 		return nil
 	}
-	clear(d.Rows[len(kept):]) // release retired row pointers from the backing array
-	d.Rows = kept
+	clear(d.rows[len(kept):]) // release retired row pointers from the backing array
+	d.rows = kept
 	t := &table{index: d.tab.index, cols: make([]column, len(d.tab.cols))}
 	from := make([]int, len(kept)) // each kept row's old position
 	for i, row := range kept {
@@ -112,7 +112,7 @@ func (d *Dataset) RetireRows(ids ...string) []*Row {
 // implicit zeros for the new rows); touched columns are finished again
 // from their pre-delta statistics over the new rows.
 func (ix *Index) withRowsAdded(d *Dataset, base int) *Index {
-	nrows := len(d.Rows)
+	nrows := len(d.rows)
 	nwords := (nrows + 63) / 64
 	nix := &Index{rows: nrows, cols: make(map[string]*colStats, len(d.attrs))}
 	for name, c := range ix.cols {

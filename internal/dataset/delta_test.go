@@ -18,7 +18,7 @@ func freshOracle(d *Dataset) *Dataset {
 	for _, a := range d.Attributes() {
 		o.DeclareAttr(a.Name, a.Type, a.Augmented)
 	}
-	o.AddRows(d.Rows...)
+	o.AddRows(d.Rows()...)
 	return o
 }
 
@@ -130,12 +130,12 @@ func detachedRow(id string, cells map[string][]string) *Row {
 // first value also appears in a later row — retiring it moves that value
 // behind others in the dictionary — or "" if there is none.
 func firstOccurrenceRow(d *Dataset, attr string) string {
-	for i, row := range d.Rows {
+	for i, row := range d.Rows() {
 		vs := row.Instances(attr)
 		if len(vs) == 0 {
 			continue
 		}
-		for _, later := range d.Rows[i+1:] {
+		for _, later := range d.Rows()[i+1:] {
 			if slices.Contains(later.Instances(attr), vs[0]) {
 				return row.SystemID
 			}
@@ -177,9 +177,9 @@ func TestDeltaIndexMatchesRebuild(t *testing.T) {
 				case 0: // add a batch
 					d.AddRows(newRows(1 + rng.Intn(3))...)
 				case 1: // retire a random subset
-					if len(d.Rows) > 2 {
+					if len(d.Rows()) > 2 {
 						var ids []string
-						for _, row := range d.Rows {
+						for _, row := range d.Rows() {
 							if rng.Intn(4) == 0 {
 								ids = append(ids, row.SystemID)
 							}
@@ -190,7 +190,7 @@ func TestDeltaIndexMatchesRebuild(t *testing.T) {
 				case 2: // add-then-retire leaving the row count unchanged
 					batch := newRows(2)
 					d.AddRows(batch...)
-					d.RetireRows(d.Rows[0].SystemID, d.Rows[1].SystemID)
+					d.RetireRows(d.Rows()[0].SystemID, d.Rows()[1].SystemID)
 				case 3: // retire a value's first occurrence while later rows keep it
 					attr := attrPool[rng.Intn(len(attrPool))]
 					id := firstOccurrenceRow(d, attr)
@@ -282,7 +282,7 @@ func TestRetireRowsReturnsRemoved(t *testing.T) {
 		t.Fatalf("removed = %v", removed)
 	}
 	var left []string
-	for _, r := range d.Rows {
+	for _, r := range d.Rows() {
 		left = append(left, r.SystemID)
 	}
 	if fmt.Sprint(left) != "[s0 s2 s4]" {

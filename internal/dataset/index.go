@@ -41,7 +41,7 @@ import (
 
 // colStats is the columnar view of one attribute.
 type colStats struct {
-	// bits is the presence bitset: bit r is set iff Rows[r] has at least
+	// bits is the presence bitset: bit r is set iff row r has at least
 	// one instance of the attribute.
 	bits []uint64
 	// rowVals is the dataset's column: each row's instance slice (nil for
@@ -160,7 +160,7 @@ func (ix *Index) CoSupport(attrA, attrB string) int {
 // remaining row's old position, and only the columns that lost cells pay
 // the dictionary rebuild (see carry).
 func buildIndex(d *Dataset, prev *Index, from []int) *Index {
-	rows := len(d.Rows)
+	rows := len(d.rows)
 	words := (rows + 63) / 64
 	ix := &Index{rows: rows, cols: make(map[string]*colStats, len(d.attrs))}
 	cols := make([]colStats, len(d.attrs))

@@ -146,7 +146,7 @@ func TestIndexMatchesNaive(t *testing.T) {
 		for _, a := range attrs {
 			present, instances := 0, 0
 			var col []string
-			for _, row := range d.Rows {
+			for _, row := range d.Rows() {
 				vs := row.Instances(a)
 				if len(vs) > 0 {
 					present++
@@ -184,7 +184,7 @@ func TestIndexMatchesNaive(t *testing.T) {
 			if got := ix.Histogram(a); !reflect.DeepEqual(got, hist) {
 				t.Fatalf("seed %d attr %s: Histogram %v, want %v", seed, a, got, hist)
 			}
-			for r, row := range d.Rows {
+			for r, row := range d.Rows() {
 				id := ix.FirstIDs(a)[r]
 				if vs := row.Instances(a); len(vs) == 0 && id != -1 || len(vs) > 0 && (id < 0 || values[id] != vs[0]) {
 					t.Fatalf("seed %d attr %s: FirstIDs[%d] = %d for row %v", seed, a, r, id, vs)
@@ -203,7 +203,7 @@ func TestIndexMatchesNaive(t *testing.T) {
 		for i := 0; i < len(attrs); i++ {
 			for j := i + 1; j < len(attrs); j++ {
 				naive := 0
-				for _, row := range d.Rows {
+				for _, row := range d.Rows() {
 					if len(row.Instances(attrs[i])) > 0 && len(row.Instances(attrs[j])) > 0 {
 						naive++
 					}

@@ -128,7 +128,7 @@ func (dt *Detector) Check(img *sysimage.Image) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := target.Rows[0]
+	row := target.Rows()[0]
 	ctx := &templates.Ctx{Row: row, Image: img}
 
 	var warnings []*Warning
@@ -285,7 +285,7 @@ func (dt *Detector) checkTypes(row *dataset.Row, img *sysimage.Image) []*Warning
 // checkSuspiciousValues flags values never seen in training, ranked by
 // inverse change frequency.
 func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
-	samples := len(dt.Training.Rows)
+	samples := len(dt.Training.Rows())
 	var out []*Warning
 	row.Each(func(attr string, values []string) {
 		// Augmented attributes participate: deviations in environment

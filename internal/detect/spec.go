@@ -110,7 +110,7 @@ func SpecFromDataset(ds *dataset.Dataset, learned []*rules.Rule) *PlanSpec {
 	attrs := ds.Attributes()
 	ix := ds.Index()
 	spec := &PlanSpec{
-		Samples: len(ds.Rows),
+		Samples: len(ds.Rows()),
 		Attrs:   make([]PlanSpecAttr, len(attrs)),
 		Types:   make([]PlanSpecType, len(attrs)),
 		Rules:   learned,

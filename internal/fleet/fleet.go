@@ -5,23 +5,25 @@
 // every image is its own fault domain, panics included.
 //
 // The coordinator splits the fleet's canonical input order into S
-// contiguous shards; one shard is a plain worker pool over one queue.
-// Each shard owns a bounded deque fed by its own discovery goroutine
-// (backpressure: discovery blocks when its workers lag) and a group of
-// workers popping the deque front. A worker whose shard is exhausted
-// turns thief: it steals single tasks from its neighbors' deque tails, so
-// a skewed fleet (one shard holding nearly everything) still finishes at
-// full parallelism instead of idling S-1 worker groups.
+// contiguous shards, each with one atomic claim cursor. Every index is
+// known before the run starts (Source.Len, random-access Load), so a run
+// starts only its workers: a worker claims the next index of its home
+// shard with one atomic add until the shard is exhausted, then claims
+// from each other shard in turn (a steal), so a skewed fleet (one shard
+// holding nearly everything) still finishes at full parallelism instead
+// of idling S-1 worker groups. One sweep over the shards is enough,
+// because a cursor only grows: a shard found exhausted stays exhausted.
 //
-// Memory is governed twice over. Structurally, only the name list and the
-// bounded deques are resident — images stream through the pooled decode
-// buffers and die young. Explicitly, a global budget meters the estimated
-// bytes of every in-flight image payload: workers reserve before loading
-// and release after checking, and the reservation high-water mark is
-// exported as a gauge so the runtime sampler's heap trace can be read
-// against it. Peak RSS stays flat as the fleet grows 10×.
+// Memory is governed twice over. Structurally, only the source's name
+// list and the cursors are resident — images stream through the pooled
+// decode buffers and die young. Explicitly, a global budget meters the
+// estimated bytes of every in-flight image payload: workers reserve
+// before loading and release after checking, and the reservation
+// high-water mark is exported as a gauge so the runtime sampler's heap
+// trace can be read against it. Peak RSS stays flat as the fleet grows
+// 10×.
 //
-// Determinism: every task index is processed exactly once and delivered
+// Determinism: every task index is claimed exactly once and delivered
 // to the sink with its index; aggregating by index reproduces a serial
 // scan's output byte for byte, regardless of shard count, worker count,
 // or steal schedule. The per-image work itself (load + Plan.Check) is
@@ -44,15 +46,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Defaults for the coordinator's tuning knobs.
-const (
-	// DefaultQueueDepth bounds each shard's deque. Deep enough that
-	// discovery (a name-list walk) never starves workers, shallow enough
-	// that queued indices stay a rounding error at any fleet size.
-	DefaultQueueDepth = 64
-	// DefaultMemoryBudget caps estimated in-flight image payload bytes.
-	DefaultMemoryBudget = 256 << 20
-)
+// DefaultMemoryBudget caps estimated in-flight image payload bytes.
+const DefaultMemoryBudget = 256 << 20
 
 // Exported fleet metric families (labeled-family names render verbatim
 // on /metrics and in telemetry snapshots).
@@ -70,19 +65,21 @@ const (
 type Options struct {
 	// Check produces the report for one image. Required.
 	Check scan.CheckFunc
-	// Strict makes the first failing image fail the batch: the run is
-	// canceled, Run returns the lowest-index ScanError it saw, and Collect
-	// returns no result. When false, each failure is delivered to the
-	// sink as that image's outcome and the batch goes on.
+	// Strict makes the first failing image fail the batch: no further
+	// task is claimed, the tasks already claimed finish, Run returns the
+	// lowest-index ScanError among them, and Collect returns no result.
+	// With one shard the claimed tasks are a prefix of the input order,
+	// so that is the first failing image in input order. When false,
+	// each failure is delivered to the sink as that image's outcome and
+	// the batch goes on.
 	Strict bool
-	// Shards is the number of discovery/worker groups; 0 picks
-	// min(NumCPU, 4) and is always clamped to the fleet size.
+	// Shards is the number of contiguous slices of the input order, each
+	// with its own claim cursor and worker group; 0 picks min(NumCPU, 4)
+	// and is always clamped to the fleet size.
 	Shards int
 	// Workers is the total worker count across all shards; 0 means
 	// NumCPU, and the count is raised to at least one per shard.
 	Workers int
-	// QueueDepth bounds each shard's deque (0 = DefaultQueueDepth).
-	QueueDepth int
 	// MemoryBudget caps the estimated bytes of in-flight image payloads
 	// (0 = DefaultMemoryBudget). A single oversized image is admitted
 	// alone rather than deadlocking.
@@ -113,13 +110,14 @@ type Options struct {
 
 // Stats summarizes one coordinator run.
 type Stats struct {
-	// Images counts every task processed (healthy or failed).
+	// Images counts every task claimed: healthy, failed, or dropped by a
+	// cancellation while it waited for budget.
 	Images int64
 	// Errors counts tasks that produced a ScanError.
 	Errors int64
 	// Findings counts warnings across healthy images.
 	Findings int64
-	// Steals counts tasks taken from a foreign shard's deque.
+	// Steals counts tasks claimed from a foreign shard.
 	Steals int64
 	// HighWaterBytes is the peak of the memory budget's in-flight
 	// reservation over the run.
@@ -144,43 +142,32 @@ type Coordinator struct {
 	Opts Options
 }
 
-// deque is one shard's bounded work queue. The discovery goroutine
-// pushes at the back (blocking when full — that bound is the constant-
-// memory contract for queued work); shard-local workers pop at the
-// front (FIFO preserves input locality); thieves steal from the back.
-type deque struct {
-	mu       sync.Mutex
-	notEmpty sync.Cond
-	notFull  sync.Cond
-	buf      []int
-	head     int
-	count    int
-	done     bool // discovery finished
+// shard is one contiguous slice of the input order. Workers claim its
+// indices in order with one atomic add on next, which starts at lo and
+// only grows; a claim at or past hi finds the shard exhausted.
+type shard struct {
+	next   atomic.Int64
+	lo, hi int64
 }
 
-func newDeque(capacity int) *deque {
-	d := &deque{buf: make([]int, capacity)}
-	d.notEmpty.L = &d.mu
-	d.notFull.L = &d.mu
-	return d
+// claim takes the shard's next unclaimed index.
+func (s *shard) claim() (int, bool) {
+	i := s.next.Add(1) - 1
+	return int(i), i < s.hi
 }
 
-// run is the per-Run state shared by discovery, workers, and thieves.
+// claimed is the number of indices taken from the shard so far.
+func (s *shard) claimed() int64 { return min(s.next.Load(), s.hi) - s.lo }
+
+// run is the per-Run state shared by the workers.
 type run struct {
 	opts   Options
 	src    Source
 	sink   Sink
-	shards []*deque
-
-	remaining atomic.Int64 // tasks not yet taken by any worker
-	canceled  atomic.Bool
-
-	// stealMu/stealCond/stealGen implement missed-wakeup-free waiting
-	// for thieves: every push, discovery completion, cancellation, and
-	// final take bumps the generation and broadcasts.
-	stealMu   sync.Mutex
-	stealCond *sync.Cond
-	stealGen  uint64
+	shards []shard
+	// stopped ends claiming (ctx canceled, or a Strict failure);
+	// canceled (ctx only) also drops claimed tasks waiting for budget.
+	stopped, canceled atomic.Bool
 
 	// budget meters estimated in-flight image payload bytes.
 	budgetMu   sync.Mutex
@@ -212,8 +199,9 @@ type runMetrics struct {
 // Run scans every task of src across the configured shards and delivers
 // each outcome to sink. It blocks until the fleet is drained (or ctx is
 // canceled, in which case it stops promptly, joins every goroutine, and
-// returns ctx's error; a Strict run stops the same way on its first
-// failure and returns it). Misuse (nil Check/src/sink) errors immediately.
+// returns ctx's error; a Strict run stops claiming on its first failure,
+// finishes the tasks already claimed and returns the lowest-index
+// failure). Misuse (nil Check/src/sink) errors immediately.
 func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, error) {
 	if c.Opts.Check == nil {
 		return Stats{}, fmt.Errorf("fleet: coordinator has no Check function")
@@ -223,19 +211,19 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 	}
 	n := src.Len()
 	shards, workers := c.topology(n)
-	depth := c.Opts.QueueDepth
-	if depth <= 0 {
-		depth = DefaultQueueDepth
-	}
 	budget := c.Opts.MemoryBudget
 	if budget <= 0 {
 		budget = DefaultMemoryBudget
 	}
 
-	r := &run{opts: c.Opts, src: src, sink: sink, budgetCap: budget}
-	r.stealCond = sync.NewCond(&r.stealMu)
+	r := &run{opts: c.Opts, src: src, sink: sink, budgetCap: budget, shards: make([]shard, shards)}
 	r.budgetCond = sync.NewCond(&r.budgetMu)
-	r.remaining.Store(int64(n))
+	for s := range r.shards {
+		lo, hi := shardRange(n, shards, s)
+		sh := &r.shards[s]
+		sh.lo, sh.hi = int64(lo), int64(hi)
+		sh.next.Store(sh.lo)
+	}
 	r.step.Check = c.Opts.Check
 	if c.Opts.Alerts != nil {
 		reqID := c.Opts.RequestID
@@ -266,45 +254,12 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 	rec.AddLabeled(MetricBatches, "", 1)
 
 	start := time.Now()
-	r.shards = make([]*deque, shards)
-	for i := range r.shards {
-		r.shards[i] = newDeque(depth)
-	}
-
-	// Cancellation watcher: flips the canceled flag and wakes every
-	// blocked discovery, worker, thief, and budget waiter. watchDone
-	// stops it when the run drains on its own.
-	watchDone := make(chan struct{})
-	var watch sync.WaitGroup
-	watch.Add(1)
-	go func() {
-		defer watch.Done()
-		select {
-		case <-ctx.Done():
-			r.cancel()
-		case <-watchDone:
-		}
-	}()
-
+	// Cancellation flips the canceled flag and wakes budget waiters;
+	// stop detaches it when the run drains on its own.
+	stop := context.AfterFunc(ctx, r.cancel)
+	// Workers are dealt round-robin so every shard gets at least one and
+	// the remainder spreads evenly.
 	var wg sync.WaitGroup
-	// One discovery goroutine per shard: walks the shard's contiguous
-	// index range, pushing into the bounded deque.
-	for s := 0; s < shards; s++ {
-		lo, hi := shardRange(n, shards, s)
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			d := r.shards[s]
-			for i := lo; i < hi; i++ {
-				if !d.push(r, i) {
-					break // canceled
-				}
-			}
-			d.markDone(r)
-		}(s, lo, hi)
-	}
-	// Worker groups: workers are dealt round-robin so every shard gets
-	// at least one and the remainder spreads evenly.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -313,11 +268,14 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 		}(w)
 	}
 	wg.Wait()
-	close(watchDone)
-	watch.Wait()
+	stop()
 
+	var claimed int64
+	for s := range r.shards {
+		claimed += r.shards[s].claimed()
+	}
 	stats := Stats{
-		Images:         int64(n) - r.remaining.Load(),
+		Images:         claimed,
 		Errors:         r.errors.Load(),
 		Findings:       r.findings.Load(),
 		Steals:         r.steals.Load(),
@@ -395,127 +353,25 @@ func shardRange(n, shards, s int) (lo, hi int) {
 }
 
 // fail records a Strict run's failure at idx, keeping the lowest index
-// seen, and cancels the run so no further task starts.
+// seen, and stops claiming. Tasks already claimed still run, so a lower
+// index claimed before idx can still fail and take its place.
 func (r *run) fail(idx int, e *scan.ScanError) {
 	r.failMu.Lock()
 	if r.failErr == nil || idx < r.failIdx {
 		r.failIdx, r.failErr = idx, e
 	}
 	r.failMu.Unlock()
-	r.cancel()
+	r.stopped.Store(true)
 }
 
-// cancel wakes everything that could be blocked.
+// cancel stops further claims, drops claimed tasks that wait for budget
+// and wakes those waiters.
 func (r *run) cancel() {
 	r.canceled.Store(true)
-	for _, d := range r.shards {
-		d.mu.Lock()
-		d.notEmpty.Broadcast()
-		d.notFull.Broadcast()
-		d.mu.Unlock()
-	}
+	r.stopped.Store(true)
 	r.budgetMu.Lock()
 	r.budgetCond.Broadcast()
 	r.budgetMu.Unlock()
-	r.bump()
-}
-
-// bump advances the steal generation and wakes waiting thieves.
-func (r *run) bump() {
-	r.stealMu.Lock()
-	r.stealGen++
-	r.stealMu.Unlock()
-	r.stealCond.Broadcast()
-}
-
-// gen reads the current steal generation.
-func (r *run) gen() uint64 {
-	r.stealMu.Lock()
-	g := r.stealGen
-	r.stealMu.Unlock()
-	return g
-}
-
-// waitSteal blocks until the steal generation moves past gen, the fleet
-// drains, or the run is canceled.
-func (r *run) waitSteal(gen uint64) {
-	r.stealMu.Lock()
-	for gen == r.stealGen && r.remaining.Load() > 0 && !r.canceled.Load() {
-		r.stealCond.Wait()
-	}
-	r.stealMu.Unlock()
-}
-
-// push appends a task at the deque's back, blocking while full. Returns
-// false when the run was canceled instead.
-func (d *deque) push(r *run, idx int) bool {
-	d.mu.Lock()
-	for d.count == len(d.buf) && !r.canceled.Load() {
-		d.notFull.Wait()
-	}
-	if r.canceled.Load() {
-		d.mu.Unlock()
-		return false
-	}
-	d.buf[(d.head+d.count)%len(d.buf)] = idx
-	d.count++
-	d.notEmpty.Signal()
-	d.mu.Unlock()
-	r.bump() // new stealable work
-	return true
-}
-
-// markDone records discovery completion and wakes shard workers that were
-// waiting for more local work.
-func (d *deque) markDone(r *run) {
-	d.mu.Lock()
-	d.done = true
-	d.notEmpty.Broadcast()
-	d.mu.Unlock()
-	r.bump()
-}
-
-// popFront takes the oldest local task. ok=false with open=true means
-// "retry" (spurious wake), ok=false with open=false means the shard is
-// exhausted: discovery is done and the deque is empty.
-func (d *deque) popFront(r *run) (idx int, ok, open bool) {
-	d.mu.Lock()
-	for d.count == 0 && !d.done && !r.canceled.Load() {
-		d.notEmpty.Wait()
-	}
-	if r.canceled.Load() || d.count == 0 {
-		open := !d.done && !r.canceled.Load()
-		d.mu.Unlock()
-		return 0, false, open
-	}
-	idx = d.buf[d.head]
-	d.head = (d.head + 1) % len(d.buf)
-	d.count--
-	d.notFull.Signal()
-	d.mu.Unlock()
-	return idx, true, true
-}
-
-// stealBack takes the newest task from a foreign deque without blocking.
-func (d *deque) stealBack() (idx int, ok bool) {
-	d.mu.Lock()
-	if d.count == 0 {
-		d.mu.Unlock()
-		return 0, false
-	}
-	d.count--
-	idx = d.buf[(d.head+d.count)%len(d.buf)]
-	d.notFull.Signal()
-	d.mu.Unlock()
-	return idx, true
-}
-
-// take accounts one task acquisition; the final take wakes waiting
-// thieves so they can exit.
-func (r *run) take() {
-	if r.remaining.Add(-1) == 0 {
-		r.bump()
-	}
 }
 
 // acquire reserves size budget bytes, blocking while the fleet is over
@@ -560,8 +416,10 @@ func (r *run) release(size int64) {
 	r.budgetCond.Signal()
 }
 
-// worker drains its home shard front-to-back, then turns thief: it
-// sweeps the other shards' deque tails until the whole fleet is taken.
+// worker claims its home shard's indices in order until the shard is
+// exhausted, then claims from each other shard in turn; every claim off
+// its home shard is a steal. A cursor only grows, so one sweep drains
+// the fleet.
 func (r *run) worker(root *telemetry.Span, id, home int) {
 	ws := root.StartChild("scan.worker",
 		telemetry.A("worker", strconv.Itoa(id)),
@@ -570,40 +428,19 @@ func (r *run) worker(root *telemetry.Span, id, home int) {
 	var hist telemetry.Histogram
 	defer r.opts.Telemetry.MergeHistogram(telemetry.HistImageScan, &hist)
 
-	for {
-		idx, ok, open := r.shards[home].popFront(r)
-		if !ok {
-			if !open {
-				break // shard exhausted (or canceled) → steal phase
+	for off := range r.shards {
+		sh := &r.shards[(home+off)%len(r.shards)]
+		for !r.stopped.Load() {
+			idx, ok := sh.claim()
+			if !ok {
+				break
 			}
-			continue
-		}
-		r.take()
-		r.process(idx, &hist)
-	}
-
-	for !r.canceled.Load() && r.remaining.Load() > 0 {
-		gen := r.gen()
-		idx, ok := r.steal(home)
-		if !ok {
-			r.waitSteal(gen)
-			continue
-		}
-		r.take()
-		r.steals.Add(1)
-		r.process(idx, &hist)
-	}
-}
-
-// steal sweeps the other shards round-robin from the thief's home.
-func (r *run) steal(home int) (idx int, ok bool) {
-	n := len(r.shards)
-	for off := 1; off < n; off++ {
-		if idx, ok := r.shards[(home+off)%n].stealBack(); ok {
-			return idx, true
+			if off > 0 {
+				r.steals.Add(1)
+			}
+			r.process(idx, &hist)
 		}
 	}
-	return 0, false
 }
 
 // process loads one task, runs the per-image step on it, and delivers
@@ -611,9 +448,9 @@ func (r *run) steal(home int) (idx int, ok bool) {
 func (r *run) process(idx int, hist *telemetry.Histogram) {
 	size := r.src.Size(idx)
 	if !r.acquire(size) {
-		// Canceled while waiting for budget: the task was already taken,
-		// so it is dropped, exactly like tasks never discovered. Run
-		// reports the cancellation.
+		// Canceled while waiting for budget: the task was already
+		// claimed, so it is dropped, exactly like tasks never claimed.
+		// Run reports the cancellation.
 		return
 	}
 	defer r.release(size)

@@ -84,11 +84,11 @@ func itemsEqual(t *testing.T, i int, got, want scan.Item) {
 }
 
 // TestFleetMatchesUnsharded is the determinism property test: across
-// shard/worker/queue/budget configurations — including degenerate ones
-// that force heavy stealing or heavy budget contention — the coordinator's
+// shard/worker/budget configurations — including degenerate ones that
+// force heavy stealing or heavy budget contention — the coordinator's
 // index-aggregated output is item-for-item identical to a serial
 // Plan.Check loop over the source in input order. Run under -race this
-// also exercises the deque and budget synchronization.
+// also exercises the claim cursors and the budget synchronization.
 func TestFleetMatchesUnsharded(t *testing.T) {
 	fw, k, dir := testFleet(t, 14, "0corrupt.json", "mcorrupt.json")
 	plan := fw.CompilePlan(k)
@@ -116,7 +116,6 @@ func TestFleetMatchesUnsharded(t *testing.T) {
 		{Shards: 1, Workers: 1},                  // fully serial
 		{Shards: 3, Workers: 7},                  // uneven split
 		{Shards: 16, Workers: 16},                // more shards than fits evenly
-		{Shards: 4, Workers: 8, QueueDepth: 1},   // constant stealing pressure
 		{Shards: 2, Workers: 6, MemoryBudget: 1}, // budget admits one image at a time
 		{Shards: 5, Workers: 2},                  // fewer workers than shards (raised)
 	}
@@ -209,8 +208,8 @@ func TestFleetWorkStealing(t *testing.T) {
 }
 
 // TestFleetCancelStopsPromptlyWithoutLeaks is the goroutine-leak
-// regression: canceling mid-walk must stop discovery, workers, and
-// thieves promptly and join every goroutine the coordinator started.
+// regression: canceling mid-walk must stop every worker promptly and
+// join every goroutine the coordinator started.
 func TestFleetCancelStopsPromptlyWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const n = 10_000
@@ -223,9 +222,8 @@ func TestFleetCancelStopsPromptlyWithoutLeaks(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			return &detect.Report{SystemID: img.ID}, nil
 		},
-		Shards:     4,
-		Workers:    8,
-		QueueDepth: 2, // keep discovery blocked on backpressure when canceled
+		Shards:  4,
+		Workers: 8,
 	}}
 	done := make(chan struct{})
 	go func() {
@@ -268,6 +266,95 @@ func TestFleetCancelStopsPromptlyWithoutLeaks(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:sz])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestFleetRunStartsOnlyItsWorkers pins the coordinator's goroutine
+// count: while every worker is parked inside a check, the run holds no
+// goroutine beyond its Stats.Workers — nothing feeds the workers and
+// nothing waits on the context.
+func TestFleetRunStartsOnlyItsWorkers(t *testing.T) {
+	const n, workers = 1000, 4
+	var (
+		mu      sync.Mutex
+		arrived int
+		before  int
+		held    int
+	)
+	release := make(chan struct{})
+	coord := &fleet.Coordinator{Opts: fleet.Options{
+		// The first `workers` checks wait for each other; the last to
+		// arrive counts the goroutines, then lets all of them go.
+		Check: func(img *sysimage.Image) (*detect.Report, error) {
+			mu.Lock()
+			arrived++
+			switch {
+			case arrived < workers:
+				mu.Unlock()
+				<-release
+			case arrived == workers:
+				held = runtime.NumGoroutine() - before
+				mu.Unlock()
+				close(release)
+			default:
+				mu.Unlock()
+			}
+			return &detect.Report{SystemID: img.ID}, nil
+		},
+		Shards:  4,
+		Workers: workers,
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before = runtime.NumGoroutine()
+	stats, err := coord.Run(ctx, &sleepSource{n: n}, func(int, scan.Item) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Images != n || stats.Workers != workers {
+		t.Fatalf("stats = %+v, want %d images on %d workers", stats, n, workers)
+	}
+	if held > stats.Workers {
+		t.Fatalf("run held %d goroutines above its caller's, want at most its %d workers", held, stats.Workers)
+	}
+}
+
+// gatedSource fails every image; index 0's Size waits until index 1 has
+// failed, so index 1's failure stops the run while index 0 is claimed
+// but not yet loaded.
+type gatedSource struct{ gate chan struct{} }
+
+func (s *gatedSource) Len() int          { return 4 }
+func (s *gatedSource) Name(i int) string { return fmt.Sprintf("gated-%d", i) }
+func (s *gatedSource) Size(i int) int64 {
+	if i == 0 {
+		<-s.gate
+	}
+	return 1
+}
+func (s *gatedSource) Load(i int) (*sysimage.Image, error) {
+	if i == 1 {
+		defer close(s.gate)
+	}
+	return nil, errors.New("broken")
+}
+
+// TestFleetStrictReportsFirstFailure pins Strict's contract at one shard:
+// a failure stops claiming, but a lower index already claimed still runs,
+// so the run fails with the first failing image in input order.
+func TestFleetStrictReportsFirstFailure(t *testing.T) {
+	coord := &fleet.Coordinator{Opts: fleet.Options{
+		Check: func(img *sysimage.Image) (*detect.Report, error) {
+			return &detect.Report{SystemID: img.ID}, nil
+		},
+		Strict:  true,
+		Shards:  1,
+		Workers: 2,
+	}}
+	_, err := coord.Run(context.Background(), &gatedSource{gate: make(chan struct{})}, func(int, scan.Item) {})
+	var se *scan.ScanError
+	if !errors.As(err, &se) || se.Path != "gated-0" {
+		t.Fatalf("strict run error = %v, want gated-0's ScanError", err)
 	}
 }
 
@@ -334,7 +421,7 @@ func TestFleetOversizedImageAdmitted(t *testing.T) {
 
 // TestFleetConstantMemory is the constant-memory pin: growing a synthetic
 // fleet 10× (1k → 10k images) must not grow peak heap, because only the
-// bounded deques and in-flight images are ever resident. Peak heap is
+// claim cursors and in-flight images are ever resident. Peak heap is
 // observed through the runtime sampler, the same instrument the CLI's
 // -serve mode exposes.
 func TestFleetConstantMemory(t *testing.T) {
@@ -432,19 +519,36 @@ func TestSourceShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Files saved out of name order come back in sysimage.LoadDir's order.
+	dirImgs, err := corpus.Training("mysql", 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"img-c", "img-a", "img-b"} {
+		dirImgs[i].ID = id
+	}
 	dir := t.TempDir()
-	if err := sysimage.SaveDir(dir, imgs); err != nil {
+	if err := sysimage.SaveDir(dir, dirImgs); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := fleet.NewDirSource(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != 2 {
-		t.Fatalf("dir len = %d, want 2", ds.Len())
+	loaded, err := sysimage.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := ds.Name(0); filepath.Dir(got) != dir {
-		t.Fatalf("dir name %q not under %q", got, dir)
+	if ds.Len() != len(loaded) {
+		t.Fatalf("dir len = %d, want %d", ds.Len(), len(loaded))
+	}
+	for i, im := range loaded {
+		if got, want := ds.Name(i), filepath.Join(dir, im.ID+".json"); got != want {
+			t.Fatalf("dir name %d = %q, want LoadDir's %q", i, got, want)
+		}
+	}
+	if loaded[0].ID != "img-a" {
+		t.Fatalf("LoadDir's first image = %q, want img-a", loaded[0].ID)
 	}
 	if ds.Size(0) <= 0 {
 		t.Fatal("dir size should be the positive file size")

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/sysimage"
 )
@@ -43,19 +41,12 @@ type DirSource struct {
 	names []string
 }
 
-// NewDirSource lists dir's "*.json" entries, sorted by file name.
+// NewDirSource lists dir's "*.json" entries in sysimage.LoadDir's order.
 func NewDirSource(dir string) (*DirSource, error) {
-	entries, err := os.ReadDir(dir)
+	names, err := sysimage.JSONNamesIn(dir)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: read %s: %w", dir, err)
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	return &DirSource{dir: dir, names: names}, nil
 }
 

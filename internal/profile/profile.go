@@ -40,7 +40,7 @@ type Profile struct {
 // Build summarizes a training dataset and its learned rules. Presence and
 // histograms are read off the dataset's columnar index.
 func Build(training *dataset.Dataset, learned []*rules.Rule) *Profile {
-	p := &Profile{Samples: len(training.Rows), Rules: learned}
+	p := &Profile{Samples: len(training.Rows()), Rules: learned}
 	ix := training.Index()
 	for _, a := range training.Attributes() {
 		p.Attrs = append(p.Attrs, AttrProfile{

@@ -156,9 +156,9 @@ func TestInferAfterDatasetMutation(t *testing.T) {
 	// Mutate: add rows that change support and entropy for a fresh pair.
 	d.DeclareAttr("fresh.num.a", conftypes.TypeNumber, false)
 	d.DeclareAttr("fresh.num.b", conftypes.TypeNumber, false)
-	for i := 0; i < len(d.Rows); i++ {
-		d.Add(d.Rows[i], "fresh.num.a", fmt.Sprintf("%d", i%5+1))
-		d.Add(d.Rows[i], "fresh.num.b", "1000")
+	for i := 0; i < len(d.Rows()); i++ {
+		d.Add(d.Rows()[i], "fresh.num.a", fmt.Sprintf("%d", i%5+1))
+		d.Add(d.Rows()[i], "fresh.num.b", "1000")
 	}
 	par := e.Infer(d, nil)
 	oracle := NewEngine()

@@ -85,7 +85,7 @@ func (st *InferState) Candidates() int { return len(st.tallies) }
 // subsequent InferDelta calls.
 func (e *Engine) InferWithState(d *dataset.Dataset, images map[string]*sysimage.Image, st *InferState) []*Rule {
 	rules, cands := e.infer(d, images, true)
-	st.total = len(d.Rows)
+	st.total = len(d.Rows())
 	st.tallies = make(map[candKey]candTally, len(cands))
 	for _, cc := range cands {
 		st.tallies[cc.key] = cc.tally

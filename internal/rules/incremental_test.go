@@ -20,7 +20,7 @@ func oracleInfer(d *dataset.Dataset, images map[string]*sysimage.Image, cfg Conf
 	for _, a := range d.Attributes() {
 		twin.DeclareAttr(a.Name, a.Type, a.Augmented)
 	}
-	twin.AddRows(d.Rows...)
+	twin.AddRows(d.Rows()...)
 	e := NewEngine()
 	e.Config = cfg
 	rules := e.Infer(twin, images)
@@ -72,7 +72,7 @@ func TestInferDeltaMatchesInfer(t *testing.T) {
 			want, wantStats := oracleInfer(d, nil, cfg)
 			assertEquivalent(t, fmt.Sprintf("seed %d initial", seed), got, want, e.LastStats, wantStats)
 
-			next := len(d.Rows)
+			next := len(d.Rows())
 			for step := 0; step < 12; step++ {
 				label := fmt.Sprintf("seed %d step %d", seed, step)
 				switch rng.Intn(4) {
@@ -86,11 +86,11 @@ func TestInferDeltaMatchesInfer(t *testing.T) {
 					d.AddRows(added...)
 					got = e.InferDelta(d, nil, &st, added, nil)
 				case 2: // retire a random subset
-					if len(d.Rows) < 4 {
+					if len(d.Rows()) < 4 {
 						continue
 					}
 					var ids []string
-					for _, row := range d.Rows {
+					for _, row := range d.Rows() {
 						if rng.Intn(5) == 0 {
 							ids = append(ids, row.SystemID)
 						}
@@ -152,7 +152,7 @@ func TestInferDeltaOnAssembledCorpus(t *testing.T) {
 		} else {
 			// Shrink: retire two rows, keeping their images visible to the
 			// delta inference, then drop the images.
-			ids := []string{d.Rows[0].SystemID, d.Rows[len(d.Rows)/2].SystemID}
+			ids := []string{d.Rows()[0].SystemID, d.Rows()[len(d.Rows())/2].SystemID}
 			retired := d.RetireRows(ids...)
 			got = e.InferDelta(d, byID, &st, nil, retired)
 			for _, row := range retired {

@@ -424,14 +424,14 @@ func (e *Engine) contexts(d *dataset.Dataset, images map[string]*sysimage.Image)
 	}
 	e.ctxMu.Lock()
 	defer e.ctxMu.Unlock()
-	if e.ctxData == d && e.ctxImgsKey == key && len(e.ctxs) == len(d.Rows) {
+	if e.ctxData == d && e.ctxImgsKey == key && len(e.ctxs) == len(d.Rows()) {
 		// The dataset is mutable (AddRows/RetireRows shift rows in place),
 		// so a matching length is not proof the memo is current — an add
 		// followed by an equal-sized retire leaves the count unchanged with
 		// different rows. Verify row identity before trusting the hit.
 		fresh := true
 		for i := range e.ctxs {
-			if e.ctxs[i].Row != d.Rows[i] {
+			if e.ctxs[i].Row != d.Rows()[i] {
 				fresh = false
 				break
 			}
@@ -440,8 +440,8 @@ func (e *Engine) contexts(d *dataset.Dataset, images map[string]*sysimage.Image)
 			return e.ctxs
 		}
 	}
-	ctxs := make([]templates.Ctx, len(d.Rows))
-	for i, row := range d.Rows {
+	ctxs := make([]templates.Ctx, len(d.Rows()))
+	for i, row := range d.Rows() {
 		ctxs[i] = templates.Ctx{Row: row, Image: images[row.SystemID]}
 	}
 	e.ctxData, e.ctxImgsKey, e.ctxs = d, key, ctxs

@@ -188,7 +188,7 @@ func TestContextsOneAllocationFresh(t *testing.T) {
 		e.ctxData = nil
 		e.contexts(d, imgs)
 	}); n != 1 {
-		t.Fatalf("building %d contexts allocated %.0f times, want 1", len(d.Rows), n)
+		t.Fatalf("building %d contexts allocated %.0f times, want 1", len(d.Rows()), n)
 	}
 	first := e.contexts(d, imgs)
 	if again := e.contexts(d, imgs); &again[0] != &first[0] {
@@ -196,14 +196,14 @@ func TestContextsOneAllocationFresh(t *testing.T) {
 	}
 	added := &dataset.Row{SystemID: "added"}
 	d.AddRows(added)
-	d.RetireRows(d.Rows[0].SystemID)
+	d.RetireRows(d.Rows()[0].SystemID)
 	got := e.contexts(d, imgs)
 	if len(got) != len(first) {
 		t.Fatalf("row count changed: %d vs %d", len(got), len(first))
 	}
 	for i := range got {
-		if got[i].Row != d.Rows[i] || got[i].Image != imgs[d.Rows[i].SystemID] {
-			t.Fatalf("context %d is stale: row %s, dataset row %s", i, got[i].Row.SystemID, d.Rows[i].SystemID)
+		if got[i].Row != d.Rows()[i] || got[i].Image != imgs[d.Rows()[i].SystemID] {
+			t.Fatalf("context %d is stale: row %s, dataset row %s", i, got[i].Row.SystemID, d.Rows()[i].SystemID)
 		}
 	}
 }

@@ -199,7 +199,7 @@ func TestValueOnlyCandidatesMatchOracle(t *testing.T) {
 			continue
 		}
 		valid := 0
-		for _, row := range d.Rows {
+		for _, row := range d.Rows() {
 			if holds, app := oracle(row.Instances(r.AttrA), row.Instances(r.AttrB), nil); app && holds {
 				valid++
 			}

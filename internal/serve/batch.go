@@ -17,10 +17,10 @@ import (
 )
 
 // Bounds on the batch endpoint's query parameters: each worker is a
-// goroutine and each shard a discovery goroutine with its own deque, so
-// one request may ask for at most maxBatchParallelism of either, and for
-// a synthetic fleet of at most maxSyntheticImages (the largest fleet the
-// fleet benchmarks drive).
+// goroutine and the coordinator raises the workers to at least one per
+// shard, so one request may ask for at most maxBatchParallelism of
+// either, and for a synthetic fleet of at most maxSyntheticImages (the
+// largest fleet the fleet benchmarks drive).
 const (
 	maxBatchParallelism = 64
 	maxSyntheticImages  = 100_000

@@ -100,9 +100,9 @@ func SaveDir(dir string, images []*Image) error {
 // LoadDir reads every "*.json" image in dir, sorted by file name so corpora
 // load deterministically.
 func LoadDir(dir string) ([]*Image, error) {
-	names, err := jsonNamesIn(dir)
+	names, err := JSONNamesIn(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sysimage: read %s: %w", dir, err)
 	}
 	images := make([]*Image, 0, len(names))
 	for _, n := range names {

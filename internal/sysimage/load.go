@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -117,12 +116,13 @@ func WithPooledRead(r io.Reader, sizeHint int, fn func([]byte) error) error {
 	return fn(buf)
 }
 
-// jsonNamesIn lists the "*.json" entries of dir sorted by file name (the
-// deterministic corpus order LoadDir established).
-func jsonNamesIn(dir string) ([]string, error) {
+// JSONNamesIn lists the "*.json" entries of dir sorted by file name: the
+// deterministic corpus order of LoadDir and of the fleet's directory
+// source. Its error is os.ReadDir's, so each caller prefixes its own.
+func JSONNamesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("sysimage: read %s: %w", dir, err)
+		return nil, err
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -132,27 +132,4 @@ func jsonNamesIn(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// LoadDirStream visits every "*.json" image in dir in LoadDir's sorted
-// order, decoding one image at a time through the pooled reader and
-// passing it to fn. Unlike LoadDir it holds a single image in memory at
-// once, so callers that process images independently (batch checking,
-// filtering, statistics) run in constant memory over corpora of any size.
-// A non-nil error from fn stops the walk and is returned unchanged.
-func LoadDirStream(dir string, fn func(*Image) error) error {
-	names, err := jsonNamesIn(dir)
-	if err != nil {
-		return err
-	}
-	for _, n := range names {
-		im, err := LoadFile(filepath.Join(dir, n))
-		if err != nil {
-			return err
-		}
-		if err := fn(im); err != nil {
-			return err
-		}
-	}
-	return nil
 }

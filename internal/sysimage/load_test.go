@@ -1,7 +1,6 @@
 package sysimage
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,43 +38,5 @@ func TestLoadFileMatchesLoadJSON(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("expected error for missing file")
-	}
-}
-
-// TestLoadDirStream pins the streaming walk: same images in the same
-// sorted order as LoadDir, and fn errors stop the walk unchanged.
-func TestLoadDirStream(t *testing.T) {
-	dir := t.TempDir()
-	a, b, c := testImage(), testImage(), testImage()
-	a.ID, b.ID, c.ID = "img-c", "img-a", "img-b"
-	if err := SaveDir(dir, []*Image{a, b, c}); err != nil {
-		t.Fatal(err)
-	}
-	var seen []string
-	if err := LoadDirStream(dir, func(im *Image) error {
-		seen = append(seen, im.ID)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"img-a", "img-b", "img-c"}
-	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("stream order = %v, want %v", seen, want)
-	}
-
-	stop := errors.New("stop")
-	seen = nil
-	err := LoadDirStream(dir, func(im *Image) error {
-		seen = append(seen, im.ID)
-		if len(seen) == 2 {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("fn error not propagated: %v", err)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("walk did not stop after fn error: %v", seen)
 	}
 }
